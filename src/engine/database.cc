@@ -69,9 +69,48 @@ obs::OperatorStats DmlStats(size_t rows_affected, double elapsed_seconds) {
   return stats;
 }
 
-std::string InsertNodeName(const sql::InsertStmt& stmt) {
-  return StrFormat("Insert(%s%s)", stmt.table.c_str(),
-                   stmt.on_conflict != nullptr ? ", on conflict" : "");
+// The SELECT a statement embeds (SELECT, INSERT ... SELECT, CREATE TABLE
+// ... AS), or null: the statements with an operator tree and a logical
+// plan.
+const sql::SelectStmt* EmbeddedSelect(const sql::Statement& stmt) {
+  switch (stmt.kind) {
+    case sql::StatementKind::kSelect:
+      return stmt.select.get();
+    case sql::StatementKind::kInsert:
+      return stmt.insert->select.get();
+    case sql::StatementKind::kCreateTable:
+      return stmt.create_table->as_select.get();
+    default:
+      return nullptr;
+  }
+}
+
+Status ServingSessionRequired() {
+  // Prepared-statement state is per session, not per database.
+  return Status::InvalidArgument(
+      "PREPARE/EXECUTE/DEALLOCATE require a serving session "
+      "(serve::Session)");
+}
+
+// Moves a drained result into rows, freeing each chunk's buffers as its
+// rows move out.
+QueryResult ToQueryResult(exec::MaterializedChunks data) {
+  QueryResult out;
+  out.column_names = data.schema.ColumnNames();
+  out.rows.reserve(data.row_count);
+  const size_t width = data.schema.size();
+  for (exec::DataChunk& chunk : data.chunks) {
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      Row row;
+      row.reserve(width);
+      for (size_t c = 0; c < width; ++c) {
+        row.push_back(std::move(chunk.column(c)[i]));
+      }
+      out.rows.push_back(std::move(row));
+    }
+    chunk.Clear();
+  }
+  return out;
 }
 
 // Appends one trace span per instrumented operator, using the lifetime
@@ -108,70 +147,77 @@ Result<Value> QueryResult::ScalarValue() const {
   return rows[0][0];
 }
 
-void Database::BeginStatement(StatementContext* ctx) {
-  ctx->tracing = trace_enabled_;
-  if (ctx->tracing) ctx->trace.start_ns = trace_.NowNs();
+Database::StatementContext Database::BeginStatement(std::string key) const {
+  StatementContext ctx;
+  ctx.key = std::move(key);
+  ctx.tracing = trace_enabled_;
+  ctx.trace.start_ns = trace_.NowNs();
+  return ctx;
 }
 
-void Database::AddPhaseSpan(StatementContext* ctx, const char* name,
-                            uint64_t start_ns) {
-  if (!ctx->tracing) return;
-  obs::TraceSpan span;
-  span.name = name;
-  span.category = "phase";
-  span.start_ns = start_ns;
-  span.dur_ns = trace_.NowNs() - start_ns;
-  ctx->trace.spans.push_back(std::move(span));
+void Database::AddPhaseSpan(obs::StatementTrace* trace, const char* name,
+                            uint64_t start_ns) const {
+  if (trace == nullptr) return;
+  trace->spans.push_back({name, "phase", start_ns, trace_.NowNs() - start_ns});
 }
 
 Result<QueryResult> Database::Execute(std::string_view sql) {
-  StatementContext ctx;
-  BeginStatement(&ctx);
-  const uint64_t lex_start = ctx.tracing ? trace_.NowNs() : 0;
+  return ExecuteText(sql, nullptr);
+}
+
+Result<ProfiledQuery> Database::ExecuteProfiled(std::string_view sql) {
+  ProfiledQuery out;
+  BORNSQL_ASSIGN_OR_RETURN(out.result, ExecuteText(sql, &out.plan));
+  return out;
+}
+
+Result<QueryResult> Database::ExecuteText(std::string_view sql,
+                                          obs::PlanStatsNode* profile_plan) {
+  StatementContext ctx = BeginStatement("");
+  obs::StatementTrace* trace = ctx.tracing ? &ctx.trace : nullptr;
+  const uint64_t lex_start = PhaseStart(trace);
   BORNSQL_ASSIGN_OR_RETURN(std::vector<sql::Token> tokens, sql::Lex(sql));
-  AddPhaseSpan(&ctx, "lex", lex_start);
+  AddPhaseSpan(trace, "lex", lex_start);
   ctx.key = NormalizeTokens(tokens, 0, tokens.size());
-  const uint64_t parse_start = ctx.tracing ? trace_.NowNs() : 0;
+  const uint64_t parse_start = PhaseStart(trace);
   BORNSQL_ASSIGN_OR_RETURN(sql::Statement stmt,
                            sql::ParseStatementTokens(std::move(tokens)));
-  AddPhaseSpan(&ctx, "parse", parse_start);
-  return ExecuteTracked(stmt, &ctx);
+  AddPhaseSpan(trace, "parse", parse_start);
+  if (profile_plan != nullptr && stmt.kind == sql::StatementKind::kExplain) {
+    return Status::InvalidArgument(
+        "ExecuteProfiled expects a plain statement, not EXPLAIN");
+  }
+  ctx.profile_plan = profile_plan;
+  return ExecuteTracked(stmt.kind, &ctx, [&](obs::PlanStatsNode* profile) {
+    return DispatchStatement(stmt, profile);
+  });
 }
 
 Status Database::ExecuteScript(std::string_view sql) {
-  // Lex once for per-statement normalized keys; the parser re-lexes
-  // internally (lexing is cheap next to execution).
+  std::vector<sql::Token> tokens;
+  BORNSQL_ASSIGN_OR_RETURN(std::vector<sql::ScriptStatement> script,
+                           sql::ParseScript(sql, &tokens));
+  // Key every statement, then drop the tokens: a long script (a model
+  // restore of INSERT VALUES) runs holding only the keys.
   std::vector<std::string> keys;
-  if (auto tokens = sql::Lex(sql); tokens.ok()) {
-    keys = NormalizeScriptTokens(*tokens);
+  keys.reserve(script.size());
+  for (const sql::ScriptStatement& s : script) {
+    keys.push_back(NormalizeTokens(tokens, s.begin, s.end));
   }
-  BORNSQL_ASSIGN_OR_RETURN(std::vector<sql::Statement> stmts,
-                           sql::ParseScript(sql));
-  for (size_t i = 0; i < stmts.size(); ++i) {
-    StatementContext ctx;
-    BeginStatement(&ctx);
-    ctx.key = i < keys.size() && keys.size() == stmts.size()
-                  ? keys[i]
-                  : FallbackStatementKey(stmts[i]);
-    auto result = ExecuteTracked(stmts[i], &ctx);
-    if (!result.ok()) return result.status();
+  std::vector<sql::Token>().swap(tokens);
+  for (size_t i = 0; i < script.size(); ++i) {
+    BORNSQL_RETURN_IF_ERROR(
+        ExecuteParsed(script[i].stmt, std::move(keys[i])).status());
   }
   return Status::OK();
 }
 
-Result<QueryResult> Database::ExecuteStatement(const sql::Statement& stmt) {
-  StatementContext ctx;
-  BeginStatement(&ctx);
-  ctx.key = FallbackStatementKey(stmt);
-  return ExecuteTracked(stmt, &ctx);
-}
-
 Result<QueryResult> Database::ExecuteParsed(const sql::Statement& stmt,
                                             std::string key) {
-  StatementContext ctx;
-  BeginStatement(&ctx);
-  ctx.key = std::move(key);
-  return ExecuteTracked(stmt, &ctx);
+  StatementContext ctx = BeginStatement(std::move(key));
+  return ExecuteTracked(stmt.kind, &ctx, [&](obs::PlanStatsNode* profile) {
+    return DispatchStatement(stmt, profile);
+  });
 }
 
 Result<plan::LogicalPlan> Database::BuildOptimizedPlan(
@@ -186,156 +232,55 @@ Result<plan::LogicalPlan> Database::BuildOptimizedPlan(
 Result<QueryResult> Database::ExecuteCachedPlan(
     const plan::LogicalPlan& cached, const std::vector<Value>& args,
     std::string key) {
-  StatementContext ctx;
-  BeginStatement(&ctx);
-  ctx.key = std::move(key);
-  WallTimer timer;
-
-  obs::StatementTrace* saved_trace = active_trace_;
-  active_trace_ = ctx.tracing ? &ctx.trace : nullptr;
-  Result<QueryResult> result = RunCachedSelect(cached, args, &ctx);
-  active_trace_ = saved_trace;
-
-  const double elapsed_seconds = timer.ElapsedSeconds();
-  metrics_->IncrementCounter(obs::kQueriesExecuted);
-  if (!result.ok()) metrics_->IncrementCounter(obs::kQueriesFailed);
-  metrics_->RecordLatency(obs::kStatementLatencyUs, elapsed_seconds);
-  const uint64_t rows = result.ok() ? result->rows.size() : 0;
-  if (stmt_stats_->Record(ctx.key, elapsed_seconds * 1e3, rows,
-                          !result.ok())) {
-    metrics_->IncrementCounter(obs::kStatementStatsEvictions);
-  }
-
-  if (ctx.tracing) {
-    ctx.trace.statement = ctx.key;
-    ctx.trace.dur_ns = trace_.NowNs() - ctx.trace.start_ns;
-    ctx.trace.rows = rows;
-    ctx.trace.error = !result.ok();
-    trace_.Record(std::move(ctx.trace));
-  }
-  return result;
+  StatementContext ctx = BeginStatement(std::move(key));
+  return ExecuteTracked(
+      sql::StatementKind::kSelect, &ctx,
+      [&](obs::PlanStatsNode* profile) -> Result<QueryResult> {
+        // The clone dies once lowered, as PlanSelect's plan does: the tree
+        // then owns its CTE cells alone, so they release their memory
+        // before ExecPlan's tracker dies.
+        exec::OperatorPtr tree;
+        {
+          const uint64_t subst_start = PhaseStart(active_trace_);
+          plan::LogicalPlan plan = plan::ClonePlanDeep(cached);
+          BORNSQL_RETURN_IF_ERROR(SubstituteParamsInPlan(&plan, args));
+          AddPhaseSpan(active_trace_, "substitute", subst_start);
+          const uint64_t lower_start = PhaseStart(active_trace_);
+          BORNSQL_ASSIGN_OR_RETURN(tree, MakePlanner().LowerLogical(plan));
+          AddPhaseSpan(active_trace_, "lower", lower_start);
+        }
+        BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks data,
+                                 ExecPlan(std::move(tree), profile));
+        return ToQueryResult(std::move(data));
+      });
 }
 
-Result<QueryResult> Database::RunCachedSelect(const plan::LogicalPlan& cached,
-                                              const std::vector<Value>& args,
-                                              StatementContext* ctx) {
-  const uint64_t subst_start = ctx->tracing ? trace_.NowNs() : 0;
-  // Declared before the operator tree so operators release their memory
-  // reservations before the tracker dies.
-  obs::MemoryTracker query_mem("query", "query", mem_parent_);
-  if (query_mem_limit_ > 0) query_mem.set_limit(query_mem_limit_);
-  plan::LogicalPlan plan = plan::ClonePlanDeep(cached);
-  BORNSQL_RETURN_IF_ERROR(SubstituteParamsInPlan(&plan, args));
-  AddPhaseSpan(ctx, "substitute", subst_start);
-
-  const uint64_t lower_start = ctx->tracing ? trace_.NowNs() : 0;
-  Planner planner = MakePlanner();
-  BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr op, planner.LowerLogical(plan));
-  if (config_.verify_plans) {
-    BORNSQL_RETURN_IF_ERROR(lint::VerifyPlanStatus(*op));
-  }
-  AddPhaseSpan(ctx, "lower", lower_start);
-
-  op->SetMemoryTracker(&query_mem);
-  op->SetVectorSize(config_.vector_size);
-  // Declared after the plan: destruction order is irrelevant (operators
-  // never call the verifier from their destructors) and the verifier's
-  // hooks only run between here and the end of the drain.
-  lint::ChunkVerifier chunk_verifier;
-  const bool verify_chunks = config_.verify_chunks;
-  if (verify_chunks) op->SetExecVerifier(&chunk_verifier);
-  const bool instrument = config_.collect_exec_stats;
-  if (instrument) op->EnableStats(true);
-  const uint64_t exec_start = ctx->tracing ? trace_.NowNs() : 0;
-  Result<exec::MaterializedResult> drained = exec::Drain(*op);
-  AddPhaseSpan(ctx, "execute", exec_start);
-  if (verify_chunks) {
-    // Accumulated on failure too: a violation is precisely when the
-    // counters matter.
-    chunk_verifier_totals_.Add(chunk_verifier.stats());
-    ++chunk_verified_queries_;
-  }
-  if (drained.ok()) {
-    // The materialized result buffer is query memory too: charging it
-    // gives streaming point lookups a truthful nonzero peak and puts the
-    // rows a statement returns under the same limits as its
-    // intermediate state. Released by query_mem's destructor.
-    uint64_t result_bytes = 0;
-    for (const Row& row : drained->rows) {
-      result_bytes += obs::ApproxRowBytes(row);
-    }
-    Status charged = query_mem.TryReserve(result_bytes, "result buffer");
-    if (!charged.ok()) drained = std::move(charged);
-  }
-  last_query_peak_bytes_ = query_mem.peak();
-  if (!drained.ok()) return drained.status();
-  exec::MaterializedResult result = std::move(*drained);
-  if (instrument) {
-    std::unordered_set<const exec::Operator*> seen;
-    AccumulatePlanMetrics(metrics_, *op, &seen);
-    if (ctx->tracing) {
-      std::unordered_set<const exec::Operator*> span_seen;
-      AppendOperatorSpans(trace_, *op, &ctx->trace, &span_seen);
-    }
-  }
-  QueryResult out;
-  out.column_names = result.schema.ColumnNames();
-  out.rows = std::move(result.rows);
-  return out;
-}
-
-Result<ProfiledQuery> Database::ExecuteProfiled(std::string_view sql) {
-  StatementContext ctx;
-  BeginStatement(&ctx);
-  const uint64_t lex_start = ctx.tracing ? trace_.NowNs() : 0;
-  BORNSQL_ASSIGN_OR_RETURN(std::vector<sql::Token> tokens, sql::Lex(sql));
-  AddPhaseSpan(&ctx, "lex", lex_start);
-  ctx.key = NormalizeTokens(tokens, 0, tokens.size());
-  const uint64_t parse_start = ctx.tracing ? trace_.NowNs() : 0;
-  BORNSQL_ASSIGN_OR_RETURN(sql::Statement stmt,
-                           sql::ParseStatementTokens(std::move(tokens)));
-  AddPhaseSpan(&ctx, "parse", parse_start);
-  if (stmt.kind == sql::StatementKind::kExplain) {
-    return Status::InvalidArgument(
-        "ExecuteProfiled expects a plain statement, not EXPLAIN");
-  }
-  ProfiledQuery out;
-  ctx.profile_plan = &out.plan;
-  BORNSQL_ASSIGN_OR_RETURN(out.result, ExecuteTracked(stmt, &ctx));
-  return out;
-}
-
-Result<QueryResult> Database::ExecuteTracked(const sql::Statement& stmt,
-                                             StatementContext* ctx) {
-  WallTimer timer;
+Result<QueryResult> Database::ExecuteTracked(sql::StatementKind kind,
+                                             StatementContext* ctx,
+                                             const StatementBody& body) {
   // While the slow-query log is armed, eligible statements run instrumented
   // (the auto_explain.log_analyze approach) so a logged entry carries its
   // stats-annotated plan. EXPLAIN and SET never profile.
   const bool slow_armed = slow_query_ms_ >= 0 &&
-                          stmt.kind != sql::StatementKind::kExplain &&
-                          stmt.kind != sql::StatementKind::kSet;
+                          kind != sql::StatementKind::kExplain &&
+                          kind != sql::StatementKind::kSet;
   const bool want_profile = ctx->profile_plan != nullptr || slow_armed;
 
   obs::StatementTrace* saved_trace = active_trace_;
   active_trace_ = ctx->tracing ? &ctx->trace : nullptr;
-  const uint64_t dispatch_start = ctx->tracing ? trace_.NowNs() : 0;
+  const uint64_t body_start = PhaseStart(active_trace_);
   const size_t spans_before = ctx->trace.spans.size();
-
   obs::PlanStatsNode plan;
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    if (!want_profile) return DispatchStatement(stmt);
-    Result<ProfiledQuery> profiled = ProfileStatement(stmt);
-    if (!profiled.ok()) return profiled.status();
-    plan = std::move(profiled->plan);
-    return std::move(profiled->result);
-  }();
+  Result<QueryResult> result = body(want_profile ? &plan : nullptr);
   active_trace_ = saved_trace;
 
-  const double elapsed_seconds = timer.ElapsedSeconds();
-  const double elapsed_ms = elapsed_seconds * 1e3;
+  // One clock: every sink records the statement's trace span.
+  const uint64_t end_ns = trace_.NowNs();
+  const uint64_t dur_ns = end_ns - ctx->trace.start_ns;
+  const double elapsed_ms = static_cast<double>(dur_ns) / 1e6;
   metrics_->IncrementCounter(obs::kQueriesExecuted);
   if (!result.ok()) metrics_->IncrementCounter(obs::kQueriesFailed);
-  metrics_->RecordLatency(obs::kStatementLatencyUs, elapsed_seconds);
+  metrics_->RecordLatency(obs::kStatementLatencyUs, elapsed_ms / 1e3);
 
   const uint64_t rows =
       result.ok() ? std::max<uint64_t>(result->rows.size(),
@@ -362,16 +307,12 @@ Result<QueryResult> Database::ExecuteTracked(const sql::Statement& stmt,
   if (ctx->tracing) {
     if (ctx->trace.spans.size() == spans_before) {
       // No fine-grained spans were recorded (pure-DML path without an
-      // embedded SELECT): cover dispatch with one coarse execute span.
-      obs::TraceSpan span;
-      span.name = "execute";
-      span.category = "phase";
-      span.start_ns = dispatch_start;
-      span.dur_ns = trace_.NowNs() - dispatch_start;
-      ctx->trace.spans.push_back(std::move(span));
+      // embedded SELECT): cover the body with one coarse execute span.
+      ctx->trace.spans.push_back(
+          {"execute", "phase", body_start, end_ns - body_start});
     }
-    ctx->trace.statement = ctx->key;
-    ctx->trace.dur_ns = trace_.NowNs() - ctx->trace.start_ns;
+    ctx->trace.statement = std::move(ctx->key);
+    ctx->trace.dur_ns = dur_ns;
     ctx->trace.rows = rows;
     ctx->trace.error = !result.ok();
     trace_.Record(std::move(ctx->trace));
@@ -397,35 +338,56 @@ Status Database::ExportTrace(const std::string& path) const {
   return Status::OK();
 }
 
-Result<QueryResult> Database::DispatchStatement(const sql::Statement& stmt) {
-  switch (stmt.kind) {
-    case sql::StatementKind::kSelect:
-      return RunSelect(*stmt.select);
-    case sql::StatementKind::kExplain:
-      return RunExplain(stmt);
-    case sql::StatementKind::kCreateTable:
-      return RunCreateTable(*stmt.create_table);
-    case sql::StatementKind::kDropTable:
-      return RunDropTable(*stmt.drop_table);
-    case sql::StatementKind::kCreateIndex:
-      return RunCreateIndex(*stmt.create_index);
-    case sql::StatementKind::kInsert:
-      return RunInsert(*stmt.insert);
-    case sql::StatementKind::kUpdate:
-      return RunUpdate(*stmt.update);
-    case sql::StatementKind::kDelete:
-      return RunDelete(*stmt.del);
-    case sql::StatementKind::kSet:
-      return RunSet(*stmt.set);
-    case sql::StatementKind::kPrepare:
-    case sql::StatementKind::kExecute:
-    case sql::StatementKind::kDeallocate:
-      // Prepared-statement state is per session, not per database.
-      return Status::InvalidArgument(
-          "PREPARE/EXECUTE/DEALLOCATE require a serving session "
-          "(serve::Session)");
+Result<QueryResult> Database::DispatchStatement(const sql::Statement& stmt,
+                                                obs::PlanStatsNode* profile) {
+  if (stmt.kind == sql::StatementKind::kSelect) {
+    return RunSelect(*stmt.select, profile);
   }
-  return Status::Internal("bad statement kind");
+  if (stmt.kind == sql::StatementKind::kExplain) return RunExplain(stmt);
+  // The root node is described before the statement mutates anything;
+  // its stats and the embedded SELECT's annotated plan are added after.
+  WallTimer timer;
+  obs::PlanStatsNode root;
+  obs::PlanStatsNode select_plan;
+  obs::PlanStatsNode* select_profile = nullptr;
+  if (profile != nullptr) {
+    BORNSQL_ASSIGN_OR_RETURN(root, DescribeRoot(stmt));
+    select_profile = &select_plan;
+  }
+  Result<QueryResult> result = [&]() -> Result<QueryResult> {
+    switch (stmt.kind) {
+      case sql::StatementKind::kCreateTable:
+        return RunCreateTable(*stmt.create_table, select_profile);
+      case sql::StatementKind::kDropTable:
+        return RunDropTable(*stmt.drop_table);
+      case sql::StatementKind::kCreateIndex:
+        return RunCreateIndex(*stmt.create_index);
+      case sql::StatementKind::kInsert:
+        return RunInsert(*stmt.insert, select_profile);
+      case sql::StatementKind::kUpdate:
+        return RunUpdate(*stmt.update);
+      case sql::StatementKind::kDelete:
+        return RunDelete(*stmt.del);
+      case sql::StatementKind::kSet:
+        return RunSet(*stmt.set);
+      case sql::StatementKind::kPrepare:
+      case sql::StatementKind::kExecute:
+      case sql::StatementKind::kDeallocate:
+        return ServingSessionRequired();
+      case sql::StatementKind::kSelect:
+      case sql::StatementKind::kExplain:
+        break;  // dispatched above
+    }
+    return Status::Internal("bad statement kind");
+  }();
+  if (profile == nullptr || !result.ok()) return result;
+  root.has_stats = true;
+  root.stats = DmlStats(result->rows_affected, timer.ElapsedSeconds());
+  if (!select_plan.name.empty()) {
+    root.children.push_back(std::move(select_plan));
+  }
+  *profile = std::move(root);
+  return result;
 }
 
 bool Database::ComposedViews::IsSystemView(const std::string& name) const {
@@ -581,47 +543,31 @@ Result<QueryResult> Database::RunSet(const sql::SetStmt& stmt) {
 Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
                                         obs::PlanStatsNode* profile) {
   BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks data,
-                           ExecSelectToChunks(stmt, profile));
-  QueryResult out;
-  out.column_names = data.schema.ColumnNames();
-  out.rows.reserve(data.row_count);
-  const size_t width = data.schema.size();
-  for (exec::DataChunk& chunk : data.chunks) {
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      Row row;
-      row.reserve(width);
-      for (size_t c = 0; c < width; ++c) {
-        row.push_back(std::move(chunk.column(c)[i]));
-      }
-      out.rows.push_back(std::move(row));
-    }
-    chunk.Clear();  // free each chunk's buffers as its rows move out
-  }
-  return out;
+                           ExecSelect(stmt, profile));
+  return ToQueryResult(std::move(data));
 }
 
-Result<exec::MaterializedChunks> Database::ExecSelectToChunks(
+Result<exec::MaterializedChunks> Database::ExecSelect(
     const sql::SelectStmt& stmt, obs::PlanStatsNode* profile) {
-  obs::StatementTrace* trace = active_trace_;
-  // The query's memory budget. Declared before the plan so the operators'
-  // destructors (which release their reservations) run before it dies.
-  obs::MemoryTracker query_mem("query", "query", mem_parent_);
-  if (query_mem_limit_ > 0) query_mem.set_limit(query_mem_limit_);
   // Binding interleaves with planning in this engine (the planner calls the
   // binder per expression), so the trace gets one merged bind+plan span.
-  const uint64_t plan_start = trace != nullptr ? trace_.NowNs() : 0;
-  Planner planner = MakePlanner();
-  BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr plan, planner.PlanSelect(stmt));
+  const uint64_t plan_start = PhaseStart(active_trace_);
+  BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr tree,
+                           MakePlanner().PlanSelect(stmt));
+  AddPhaseSpan(active_trace_, "bind+plan", plan_start);
+  return ExecPlan(std::move(tree), profile);
+}
+
+Result<exec::MaterializedChunks> Database::ExecPlan(
+    exec::OperatorPtr tree, obs::PlanStatsNode* profile) {
+  // The query's memory budget. The tree moves into a local declared after
+  // it, so the operators' destructors (which release their reservations)
+  // run before it dies.
+  obs::MemoryTracker query_mem("query", "query", mem_parent_);
+  if (query_mem_limit_ > 0) query_mem.set_limit(query_mem_limit_);
+  const exec::OperatorPtr plan = std::move(tree);
   if (config_.verify_plans) {
     BORNSQL_RETURN_IF_ERROR(lint::VerifyPlanStatus(*plan));
-  }
-  if (trace != nullptr) {
-    obs::TraceSpan span;
-    span.name = "bind+plan";
-    span.category = "phase";
-    span.start_ns = plan_start;
-    span.dur_ns = trace_.NowNs() - plan_start;
-    trace->spans.push_back(std::move(span));
   }
   plan->SetMemoryTracker(&query_mem);
   plan->SetVectorSize(config_.vector_size);
@@ -633,20 +579,13 @@ Result<exec::MaterializedChunks> Database::ExecSelectToChunks(
   if (verify_chunks) plan->SetExecVerifier(&chunk_verifier);
   const bool instrument = profile != nullptr || config_.collect_exec_stats;
   if (instrument) plan->EnableStats(true);
-  const uint64_t exec_start = trace != nullptr ? trace_.NowNs() : 0;
+  const uint64_t exec_start = PhaseStart(active_trace_);
   Result<exec::MaterializedChunks> drained = exec::DrainChunks(*plan);
   if (verify_chunks) {
     chunk_verifier_totals_.Add(chunk_verifier.stats());
     ++chunk_verified_queries_;
   }
-  if (trace != nullptr) {
-    obs::TraceSpan span;
-    span.name = "execute";
-    span.category = "phase";
-    span.start_ns = exec_start;
-    span.dur_ns = trace_.NowNs() - exec_start;
-    trace->spans.push_back(std::move(span));
-  }
+  AddPhaseSpan(active_trace_, "execute", exec_start);
   if (drained.ok()) {
     // The materialized result buffer is query memory too: charging it
     // gives streaming point lookups a truthful nonzero peak and puts the
@@ -665,37 +604,41 @@ Result<exec::MaterializedChunks> Database::ExecSelectToChunks(
   // the caller wants to see.
   last_query_peak_bytes_ = query_mem.peak();
   if (!drained.ok()) return drained.status();
-  exec::MaterializedChunks result = std::move(*drained);
   if (instrument) {
     std::unordered_set<const exec::Operator*> seen;
     AccumulatePlanMetrics(metrics_, *plan, &seen);
     if (profile != nullptr) *profile = CapturePlan(*plan);
-    if (trace != nullptr) {
+    if (active_trace_ != nullptr) {
       std::unordered_set<const exec::Operator*> span_seen;
-      AppendOperatorSpans(trace_, *plan, trace, &span_seen);
+      AppendOperatorSpans(trace_, *plan, active_trace_, &span_seen);
     }
   }
-  return result;
+  return drained;
 }
 
 Result<obs::PlanStatsNode> Database::DescribePlan(const sql::Statement& stmt) {
-  Planner planner = MakePlanner();
+  obs::PlanStatsNode root;
+  if (stmt.kind != sql::StatementKind::kSelect) {
+    BORNSQL_ASSIGN_OR_RETURN(root, DescribeRoot(stmt));
+  }
+  const sql::SelectStmt* select = EmbeddedSelect(stmt);
+  if (select == nullptr) return root;
+  BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr plan,
+                           MakePlanner().PlanSelect(*select));
+  if (stmt.kind == sql::StatementKind::kSelect) return CapturePlan(*plan);
+  root.children.push_back(CapturePlan(*plan));
+  return root;
+}
+
+Result<obs::PlanStatsNode> Database::DescribeRoot(const sql::Statement& stmt) {
+  obs::PlanStatsNode root;
   switch (stmt.kind) {
-    case sql::StatementKind::kSelect: {
-      BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr plan,
-                               planner.PlanSelect(*stmt.select));
-      return CapturePlan(*plan);
-    }
     case sql::StatementKind::kInsert: {
       const sql::InsertStmt& ins = *stmt.insert;
       BORNSQL_RETURN_IF_ERROR(catalog_->GetTable(ins.table).status());
-      obs::PlanStatsNode root;
-      root.name = InsertNodeName(ins);
-      if (ins.select != nullptr) {
-        BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr plan,
-                                 planner.PlanSelect(*ins.select));
-        root.children.push_back(CapturePlan(*plan));
-      } else {
+      root.name = StrFormat("Insert(%s%s)", ins.table.c_str(),
+                            ins.on_conflict != nullptr ? ", on conflict" : "");
+      if (ins.select == nullptr) {
         obs::PlanStatsNode values;
         values.name = StrFormat("Values(%zu rows)", ins.values.size());
         root.children.push_back(std::move(values));
@@ -711,15 +654,21 @@ Result<obs::PlanStatsNode> Database::DescribePlan(const sql::Statement& stmt) {
           is_update ? stmt.update->where.get() : stmt.del->where.get();
       BORNSQL_ASSIGN_OR_RETURN(storage::Table * table,
                                catalog_->GetTable(table_name));
-      obs::PlanStatsNode root;
       root.name = is_update
                       ? StrFormat("Update(%s, %zu set clauses)",
                                   table_name.c_str(),
                                   stmt.update->set_clauses.size())
                       : StrFormat("Delete(%s)", table_name.c_str());
+      // UPDATE and DELETE scan the table directly rather than through
+      // operators; the synthetic scan examines every row it holds before
+      // the statement runs (the counts EXPLAIN ANALYZE shows).
       obs::PlanStatsNode scan;
       scan.name = StrFormat("SeqScan(%s, %zu rows)", table_name.c_str(),
                             table->row_count());
+      scan.has_stats = true;
+      scan.stats.open_calls = 1;
+      scan.stats.rows_emitted = table->row_count();
+      scan.stats.next_calls = table->row_count();
       if (where != nullptr) {
         obs::PlanStatsNode filter;
         filter.name = "Filter";
@@ -732,141 +681,35 @@ Result<obs::PlanStatsNode> Database::DescribePlan(const sql::Statement& stmt) {
     }
     case sql::StatementKind::kCreateTable: {
       const sql::CreateTableStmt& ct = *stmt.create_table;
-      obs::PlanStatsNode root;
-      if (ct.as_select != nullptr) {
-        root.name = StrFormat("CreateTableAs(%s)", ct.table.c_str());
-        BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr plan,
-                                 planner.PlanSelect(*ct.as_select));
-        root.children.push_back(CapturePlan(*plan));
-      } else {
-        root.name = StrFormat("CreateTable(%s, %zu columns)",
-                              ct.table.c_str(), ct.columns.size());
-      }
+      root.name = ct.as_select != nullptr
+                      ? StrFormat("CreateTableAs(%s)", ct.table.c_str())
+                      : StrFormat("CreateTable(%s, %zu columns)",
+                                  ct.table.c_str(), ct.columns.size());
       return root;
     }
-    case sql::StatementKind::kDropTable: {
-      obs::PlanStatsNode root;
+    case sql::StatementKind::kDropTable:
       root.name = StrFormat("DropTable(%s)", stmt.drop_table->table.c_str());
       return root;
-    }
     case sql::StatementKind::kCreateIndex: {
       const sql::CreateIndexStmt& ci = *stmt.create_index;
       BORNSQL_RETURN_IF_ERROR(catalog_->GetTable(ci.table).status());
-      obs::PlanStatsNode root;
       root.name = StrFormat("Create%sIndex(%s ON %s)",
                             ci.unique ? "Unique" : "", ci.name.c_str(),
                             ci.table.c_str());
       return root;
     }
-    case sql::StatementKind::kSet: {
-      obs::PlanStatsNode root;
+    case sql::StatementKind::kSet:
       root.name = StrFormat("Set(%s)", stmt.set->name.c_str());
       return root;
-    }
-    case sql::StatementKind::kExplain:
-      break;  // parser rejects nested EXPLAIN
     case sql::StatementKind::kPrepare:
     case sql::StatementKind::kExecute:
     case sql::StatementKind::kDeallocate:
-      return Status::InvalidArgument(
-          "EXPLAIN of PREPARE/EXECUTE/DEALLOCATE requires a serving "
-          "session (serve::Session)");
+      return ServingSessionRequired();
+    case sql::StatementKind::kSelect:
+    case sql::StatementKind::kExplain:
+      break;  // SELECT has a real plan; the parser rejects nested EXPLAIN
   }
   return Status::Internal("bad statement kind in EXPLAIN");
-}
-
-Result<ProfiledQuery> Database::ProfileStatement(const sql::Statement& stmt) {
-  ProfiledQuery out;
-  WallTimer timer;
-  switch (stmt.kind) {
-    case sql::StatementKind::kSelect: {
-      BORNSQL_ASSIGN_OR_RETURN(out.result,
-                               RunSelect(*stmt.select, &out.plan));
-      return out;
-    }
-    case sql::StatementKind::kInsert: {
-      obs::PlanStatsNode select_profile;
-      BORNSQL_ASSIGN_OR_RETURN(out.result,
-                               RunInsert(*stmt.insert, &select_profile));
-      out.plan.name = InsertNodeName(*stmt.insert);
-      out.plan.has_stats = true;
-      out.plan.stats =
-          DmlStats(out.result.rows_affected, timer.ElapsedSeconds());
-      if (!select_profile.name.empty()) {
-        out.plan.children.push_back(std::move(select_profile));
-      } else {
-        obs::PlanStatsNode values;
-        values.name =
-            StrFormat("Values(%zu rows)", stmt.insert->values.size());
-        out.plan.children.push_back(std::move(values));
-      }
-      return out;
-    }
-    case sql::StatementKind::kUpdate:
-    case sql::StatementKind::kDelete: {
-      // The update/delete paths scan the table directly rather than through
-      // operators; describe the scan synthetically with the row count it
-      // examined (the table size before mutation).
-      BORNSQL_ASSIGN_OR_RETURN(out.plan, DescribePlan(stmt));
-      obs::PlanStatsNode* scan = &out.plan.children.front();
-      while (!scan->children.empty()) scan = &scan->children.front();
-      uint64_t examined = 0;
-      const std::string& table_name = stmt.kind == sql::StatementKind::kUpdate
-                                          ? stmt.update->table
-                                          : stmt.del->table;
-      if (auto table = catalog_->GetTable(table_name); table.ok()) {
-        examined = (*table)->row_count();
-      }
-      BORNSQL_ASSIGN_OR_RETURN(out.result,
-                               stmt.kind == sql::StatementKind::kUpdate
-                                   ? RunUpdate(*stmt.update)
-                                   : RunDelete(*stmt.del));
-      out.plan.has_stats = true;
-      out.plan.stats =
-          DmlStats(out.result.rows_affected, timer.ElapsedSeconds());
-      scan->has_stats = true;
-      scan->stats.open_calls = 1;
-      scan->stats.rows_emitted = examined;
-      scan->stats.next_calls = examined;
-      return out;
-    }
-    case sql::StatementKind::kCreateTable: {
-      obs::PlanStatsNode select_profile;
-      BORNSQL_ASSIGN_OR_RETURN(
-          out.result, RunCreateTable(*stmt.create_table, &select_profile));
-      const sql::CreateTableStmt& ct = *stmt.create_table;
-      out.plan.name = ct.as_select != nullptr
-                          ? StrFormat("CreateTableAs(%s)", ct.table.c_str())
-                          : StrFormat("CreateTable(%s, %zu columns)",
-                                      ct.table.c_str(), ct.columns.size());
-      out.plan.has_stats = true;
-      out.plan.stats =
-          DmlStats(out.result.rows_affected, timer.ElapsedSeconds());
-      if (!select_profile.name.empty()) {
-        out.plan.children.push_back(std::move(select_profile));
-      }
-      return out;
-    }
-    case sql::StatementKind::kDropTable:
-    case sql::StatementKind::kCreateIndex:
-    case sql::StatementKind::kSet: {
-      BORNSQL_ASSIGN_OR_RETURN(out.plan, DescribePlan(stmt));
-      BORNSQL_ASSIGN_OR_RETURN(out.result, DispatchStatement(stmt));
-      out.plan.has_stats = true;
-      out.plan.stats =
-          DmlStats(out.result.rows_affected, timer.ElapsedSeconds());
-      return out;
-    }
-    case sql::StatementKind::kExplain:
-      break;
-    case sql::StatementKind::kPrepare:
-    case sql::StatementKind::kExecute:
-    case sql::StatementKind::kDeallocate:
-      return Status::InvalidArgument(
-          "PREPARE/EXECUTE/DEALLOCATE require a serving session "
-          "(serve::Session)");
-  }
-  return Status::Internal("bad statement kind in EXPLAIN ANALYZE");
 }
 
 Result<QueryResult> Database::RunExplain(const sql::Statement& stmt) {
@@ -876,9 +719,7 @@ Result<QueryResult> Database::RunExplain(const sql::Statement& stmt) {
   if (stmt.explain_logical) return RunExplainLogical(*stmt.explained);
   obs::PlanStatsNode plan;
   if (stmt.explain_analyze) {
-    BORNSQL_ASSIGN_OR_RETURN(ProfiledQuery profiled,
-                             ProfileStatement(*stmt.explained));
-    plan = std::move(profiled.plan);
+    BORNSQL_RETURN_IF_ERROR(DispatchStatement(*stmt.explained, &plan).status());
   } else {
     BORNSQL_ASSIGN_OR_RETURN(plan, DescribePlan(*stmt.explained));
   }
@@ -895,22 +736,8 @@ Result<QueryResult> Database::RunExplain(const sql::Statement& stmt) {
 }
 
 Result<QueryResult> Database::RunExplainLogical(const sql::Statement& stmt) {
-  // Like EXPLAIN VERIFY, only statements with an embedded SELECT have a
-  // logical plan.
-  const sql::SelectStmt* select = nullptr;
-  switch (stmt.kind) {
-    case sql::StatementKind::kSelect:
-      select = stmt.select.get();
-      break;
-    case sql::StatementKind::kInsert:
-      select = stmt.insert->select.get();
-      break;
-    case sql::StatementKind::kCreateTable:
-      select = stmt.create_table->as_select.get();
-      break;
-    default:
-      break;
-  }
+  // Only statements with an embedded SELECT have a logical plan.
+  const sql::SelectStmt* select = EmbeddedSelect(stmt);
   QueryResult out;
   out.column_names = {"plan"};
   if (select == nullptr) {
@@ -945,20 +772,7 @@ Result<QueryResult> Database::RunExplainVerify(const sql::Statement& stmt) {
   // Only statements with an embedded SELECT have an operator tree; the
   // remaining kinds (INSERT VALUES, UPDATE, DELETE, DDL) execute through
   // dedicated non-operator paths with nothing for the verifier to walk.
-  const sql::SelectStmt* select = nullptr;
-  switch (stmt.kind) {
-    case sql::StatementKind::kSelect:
-      select = stmt.select.get();
-      break;
-    case sql::StatementKind::kInsert:
-      select = stmt.insert->select.get();
-      break;
-    case sql::StatementKind::kCreateTable:
-      select = stmt.create_table->as_select.get();
-      break;
-    default:
-      break;
-  }
+  const sql::SelectStmt* select = EmbeddedSelect(stmt);
   QueryResult out;
   out.column_names = {"verify"};
   if (select == nullptr) {
@@ -999,22 +813,6 @@ Result<QueryResult> Database::RunExplainVerify(const sql::Statement& stmt) {
       out.rows.push_back({Value::Text(lint::FormatDiagnostic(d))});
     }
   }
-  // Parallel-safety traits of this plan's operators: the inputs a morsel
-  // scheduler would consume (DESIGN.md section 15).
-  std::vector<exec::OperatorTraitInfo> traits;
-  exec::CollectOperatorTraits(*plan, &traits);
-  size_t by_trait[4] = {0, 0, 0, 0};
-  for (const exec::OperatorTraitInfo& t : traits) {
-    ++by_trait[static_cast<size_t>(t.trait)];
-  }
-  out.rows.push_back({Value::Text(StrFormat(
-      "parallel-safety traits: %zu operators (%zu source, %zu stateless, "
-      "%zu pipeline_breaker, %zu serial_only)",
-      traits.size(),
-      by_trait[static_cast<size_t>(exec::OperatorTrait::kSource)],
-      by_trait[static_cast<size_t>(exec::OperatorTrait::kStateless)],
-      by_trait[static_cast<size_t>(exec::OperatorTrait::kPipelineBreaker)],
-      by_trait[static_cast<size_t>(exec::OperatorTrait::kSerialOnly)]))});
   // Cumulative execution-contract verification counters for this database
   // (the same numbers born_stat_verifier exposes as a queryable view).
   out.rows.push_back({Value::Text(StrFormat(
@@ -1179,7 +977,7 @@ Result<QueryResult> Database::RunInsert(const sql::InsertStmt& stmt,
     // is inserted, so a select reading the target table sees its
     // pre-statement contents.)
     BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks data,
-                             ExecSelectToChunks(*stmt.select, profile));
+                             ExecSelect(*stmt.select, profile));
     if (data.row_count > 0 && data.schema.size() != positions.size()) {
       return Status::BindError(
           StrFormat("INSERT expects %zu columns, SELECT produced %zu",

@@ -13,6 +13,7 @@
 #ifndef BORNSQL_ENGINE_DATABASE_H_
 #define BORNSQL_ENGINE_DATABASE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -80,13 +81,9 @@ class Database {
   // Parses and executes one statement.
   Result<QueryResult> Execute(std::string_view sql);
 
-  // Executes a ';'-separated script, discarding SELECT results. Stops at the
-  // first error.
+  // Executes a ';'-separated script, discarding SELECT results. Parses
+  // every statement before running any; stops at the first error.
   Status ExecuteScript(std::string_view sql);
-
-  // Executes an already-parsed statement (used by BornSQL's query driver to
-  // skip re-parsing in hot loops).
-  Result<QueryResult> ExecuteStatement(const sql::Statement& stmt);
 
   // Executes one statement with per-operator instrumentation enabled and
   // returns the stats-annotated plan alongside the result. EXPLAIN ANALYZE
@@ -192,40 +189,61 @@ class Database {
   Status ExportTrace(const std::string& path) const;
 
  private:
-  // Per-statement bookkeeping threaded through the execution paths: the
-  // normalized statement key, the trace under construction, and (for
-  // ExecuteProfiled) where to store the annotated plan.
+  // Per-statement bookkeeping: the statement-stats key, the trace under
+  // construction and, for ExecuteProfiled, where to store the annotated
+  // plan. trace.start_ns is read even with tracing off: every sink times
+  // the same interval, the statement's trace span.
   struct StatementContext {
     std::string key;
     obs::StatementTrace trace;
     bool tracing = false;
     obs::PlanStatsNode* profile_plan = nullptr;
   };
+  // A statement's work inside ExecuteTracked. `profile` non-null requests
+  // instrumentation and receives the stats-annotated plan.
+  using StatementBody =
+      std::function<Result<QueryResult>(obs::PlanStatsNode* profile)>;
 
-  // Starts the statement's trace interval (when tracing is enabled).
-  void BeginStatement(StatementContext* ctx);
-  // Appends a phase span [start_ns, now] to the context's trace.
-  void AddPhaseSpan(StatementContext* ctx, const char* name,
-                    uint64_t start_ns);
-  // Dispatches `stmt` and records everything the introspection layer
-  // needs: metrics counters + latency, statement stats under ctx->key,
-  // the trace, and — when the slow-query log is armed — the profiled plan.
-  Result<QueryResult> ExecuteTracked(const sql::Statement& stmt,
-                                     StatementContext* ctx);
-  // The kind switch shared by ExecuteStatement (which adds metrics) and the
-  // EXPLAIN machinery.
-  Result<QueryResult> DispatchStatement(const sql::Statement& stmt);
+  // Starts the statement's clock.
+  StatementContext BeginStatement(std::string key) const;
+  // Start time of a phase span for `trace` (0, without a clock read, when
+  // `trace` is null).
+  uint64_t PhaseStart(const obs::StatementTrace* trace) const {
+    return trace != nullptr ? trace_.NowNs() : 0;
+  }
+  // Appends a phase span [start_ns, now] to `trace` when it is non-null.
+  void AddPhaseSpan(obs::StatementTrace* trace, const char* name,
+                    uint64_t start_ns) const;
+  // The text prologue of Execute and ExecuteProfiled: lex, normalize,
+  // parse, then ExecuteTracked.
+  Result<QueryResult> ExecuteText(std::string_view sql,
+                                  obs::PlanStatsNode* profile_plan);
+  // The one epilogue of every statement: runs `body` with the statement's
+  // trace active, then records metrics counters + latency, statement stats
+  // under ctx->key, the slow-query log (profiling the body while it is
+  // armed) and the trace, all from the statement's one clock.
+  Result<QueryResult> ExecuteTracked(sql::StatementKind kind,
+                                     StatementContext* ctx,
+                                     const StatementBody& body);
+  // The kind switch. A profiled statement other than SELECT reports a
+  // synthetic root node (DescribeRoot) over its embedded SELECT's plan.
+  Result<QueryResult> DispatchStatement(const sql::Statement& stmt,
+                                        obs::PlanStatsNode* profile);
 
   // `profile` non-null requests instrumentation; the annotated plan of the
-  // (inner) SELECT is stored there after execution.
+  // SELECT is stored there after execution.
   Result<QueryResult> RunSelect(const sql::SelectStmt& stmt,
-                                obs::PlanStatsNode* profile = nullptr);
-  // The execution core behind RunSelect and INSERT ... SELECT: plans,
-  // executes, and accounts for the statement, returning the result in its
-  // chunked columnar form so consumers build at most one Row per result
-  // row (values moved out of the buffered columns).
-  Result<exec::MaterializedChunks> ExecSelectToChunks(
-      const sql::SelectStmt& stmt, obs::PlanStatsNode* profile);
+                                obs::PlanStatsNode* profile);
+  // Plans `stmt` (one bind+plan span) and runs it through ExecPlan.
+  Result<exec::MaterializedChunks> ExecSelect(const sql::SelectStmt& stmt,
+                                              obs::PlanStatsNode* profile);
+  // The exec core of every SELECT-bearing statement, cached or not: runs
+  // the operator tree under the query's memory budget and accounts for it
+  // (verifiers, stats, result-buffer charge, peak bytes, metrics, operator
+  // spans). Returns the result in its chunked columnar form so consumers
+  // build at most one Row per result row.
+  Result<exec::MaterializedChunks> ExecPlan(exec::OperatorPtr tree,
+                                            obs::PlanStatsNode* profile);
   // EXPLAIN [ANALYZE] <stmt>: one text row per plan node, indented by depth.
   Result<QueryResult> RunExplain(const sql::Statement& stmt);
   // EXPLAIN VERIFY <stmt>: plans the statement's SELECT (if any) and runs
@@ -238,22 +256,17 @@ class Database {
   // after the optimizer rule pipeline, one text row per plan line.
   Result<QueryResult> RunExplainLogical(const sql::Statement& stmt);
   Result<QueryResult> RunCreateTable(const sql::CreateTableStmt& stmt,
-                                     obs::PlanStatsNode* profile = nullptr);
+                                     obs::PlanStatsNode* profile);
   Result<QueryResult> RunDropTable(const sql::DropTableStmt& stmt);
   Result<QueryResult> RunCreateIndex(const sql::CreateIndexStmt& stmt);
   Result<QueryResult> RunInsert(const sql::InsertStmt& stmt,
-                                obs::PlanStatsNode* profile = nullptr);
+                                obs::PlanStatsNode* profile);
   Result<QueryResult> RunUpdate(const sql::UpdateStmt& stmt);
   Result<QueryResult> RunDelete(const sql::DeleteStmt& stmt);
   // SET <name> = <value>: engine settings (born.slow_query_ms, born.trace,
   // born.trace_capacity, born.collect_exec_stats, born.verify_plans, and
   // per-rule optimizer flags born.opt.<rule>).
   Result<QueryResult> RunSet(const sql::SetStmt& stmt);
-  // Clone + substitute + lower + execute for ExecuteCachedPlan, recording
-  // the phase spans the hit path actually runs.
-  Result<QueryResult> RunCachedSelect(const plan::LogicalPlan& cached,
-                                      const std::vector<Value>& args,
-                                      StatementContext* ctx);
 
   // Builds a Planner wired to this database's optimizer stats and (when a
   // statement trace is active) the trace recorder.
@@ -263,11 +276,13 @@ class Database {
   // empty when the setting is honored.
   std::string IndexJoinNote() const;
 
-  // Plan tree of `stmt` without executing it (plain EXPLAIN). DML and DDL
-  // statements get synthetic root nodes over their embedded SELECT plans.
+  // Plan tree of `stmt` without executing it (plain EXPLAIN): the SELECT's
+  // plan, or DescribeRoot's node over the embedded SELECT's plan.
   Result<obs::PlanStatsNode> DescribePlan(const sql::Statement& stmt);
-  // Executes `stmt` instrumented (EXPLAIN ANALYZE / ExecuteProfiled).
-  Result<ProfiledQuery> ProfileStatement(const sql::Statement& stmt);
+  // Synthetic root node of a statement other than SELECT, with the leaves
+  // that are not operators (INSERT's Values, UPDATE/DELETE's table scan).
+  // Fails when a table the statement needs is missing.
+  Result<obs::PlanStatsNode> DescribeRoot(const sql::Statement& stmt);
 
   // Coerces `row` cell-wise to the table's declared column types.
   Status CoerceRow(const storage::Table& table, Row* row) const;
@@ -307,9 +322,9 @@ class Database {
   ComposedViews composed_views_{this};
   bool trace_enabled_ = true;
   double slow_query_ms_ = -1.0;  // < 0 => slow-query log disarmed
-  // Trace of the statement currently executing; RunSelect appends its
-  // bind+plan / execute phase spans and operator spans here. Null when
-  // tracing is off or no statement is in flight.
+  // Trace of the statement currently executing; the exec paths append
+  // their phase spans and operator spans here. Null when tracing is off or
+  // no statement is in flight.
   obs::StatementTrace* active_trace_ = nullptr;
 };
 

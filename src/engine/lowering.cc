@@ -25,9 +25,6 @@ class RelabelOp : public Operator {
       : child_(std::move(child)),
         schema_(child_->schema().WithQualifier(qualifier)) {}
   const Schema& schema() const override { return schema_; }
-  exec::OperatorTrait trait() const override {
-    return exec::OperatorTrait::kStateless;
-  }
   std::string DebugString() const override {
     return StrFormat("Relabel(%s)",
                      schema_.size() > 0 ? schema_.column(0).qualifier.c_str()
@@ -54,11 +51,6 @@ class CteGateOp : public Operator {
       : cell_(std::move(cell)),
         schema_(cell_->plan->schema().WithQualifier(qualifier)) {}
   const Schema& schema() const override { return schema_; }
-  // The shared LoweredCte cell is filled lazily by the first gate to Open
-  // with no synchronization; gates must stay on one thread until then.
-  exec::OperatorTrait trait() const override {
-    return exec::OperatorTrait::kSerialOnly;
-  }
   std::string DebugString() const override {
     return StrFormat("CteScan(%s%s)",
                      schema_.size() > 0 ? schema_.column(0).qualifier.c_str()

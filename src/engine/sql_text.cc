@@ -1,7 +1,5 @@
 #include "engine/sql_text.h"
 
-#include "common/strings.h"
-
 namespace bornsql::engine {
 
 namespace {
@@ -73,59 +71,6 @@ std::string NormalizeTokens(const std::vector<sql::Token>& tokens,
     first = false;
   }
   return out;
-}
-
-std::vector<std::string> NormalizeScriptTokens(
-    const std::vector<sql::Token>& tokens) {
-  std::vector<std::string> out;
-  size_t begin = 0;
-  for (size_t i = 0; i <= tokens.size(); ++i) {
-    const bool boundary = i == tokens.size() ||
-                          tokens[i].type == sql::TokenType::kSemicolon ||
-                          tokens[i].type == sql::TokenType::kEof;
-    if (!boundary) continue;
-    std::string text = NormalizeTokens(tokens, begin, i);
-    if (!text.empty()) out.push_back(std::move(text));
-    begin = i + 1;
-  }
-  return out;
-}
-
-std::string FallbackStatementKey(const sql::Statement& stmt) {
-  switch (stmt.kind) {
-    case sql::StatementKind::kSelect:
-      return "<prepared SELECT>";
-    case sql::StatementKind::kExplain:
-      return "<prepared EXPLAIN>";
-    case sql::StatementKind::kCreateTable:
-      return StrFormat("<prepared CREATE TABLE %s>",
-                       stmt.create_table->table.c_str());
-    case sql::StatementKind::kDropTable:
-      return StrFormat("<prepared DROP TABLE %s>",
-                       stmt.drop_table->table.c_str());
-    case sql::StatementKind::kCreateIndex:
-      return StrFormat("<prepared CREATE INDEX %s>",
-                       stmt.create_index->name.c_str());
-    case sql::StatementKind::kInsert:
-      return StrFormat("<prepared INSERT INTO %s>",
-                       stmt.insert->table.c_str());
-    case sql::StatementKind::kUpdate:
-      return StrFormat("<prepared UPDATE %s>", stmt.update->table.c_str());
-    case sql::StatementKind::kDelete:
-      return StrFormat("<prepared DELETE FROM %s>", stmt.del->table.c_str());
-    case sql::StatementKind::kSet:
-      return StrFormat("<prepared SET %s>", stmt.set->name.c_str());
-    case sql::StatementKind::kPrepare:
-      return StrFormat("<prepared PREPARE %s>", stmt.prepare->name.c_str());
-    case sql::StatementKind::kExecute:
-      return StrFormat("<prepared EXECUTE %s>", stmt.execute->name.c_str());
-    case sql::StatementKind::kDeallocate:
-      return stmt.deallocate->name.empty()
-                 ? "<prepared DEALLOCATE ALL>"
-                 : StrFormat("<prepared DEALLOCATE %s>",
-                             stmt.deallocate->name.c_str());
-  }
-  return "<prepared statement>";
 }
 
 }  // namespace bornsql::engine

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "sql/ast.h"
 #include "sql/token.h"
 
 namespace bornsql::engine {
@@ -23,17 +22,6 @@ namespace bornsql::engine {
 // and EOF; literals become '?'.
 std::string NormalizeTokens(const std::vector<sql::Token>& tokens,
                             size_t begin, size_t end);
-
-// Splits a script's token stream on ';' into one normalized string per
-// statement (empty runs are dropped, matching the parser's behaviour).
-std::vector<std::string> NormalizeScriptTokens(
-    const std::vector<sql::Token>& tokens);
-
-// Statement key for pre-parsed statements executed via
-// Database::ExecuteStatement, where the original text is unavailable —
-// e.g. "<prepared INSERT INTO weights>". Coarser than token normalization
-// but stable, so hot prepared loops still aggregate into one entry.
-std::string FallbackStatementKey(const sql::Statement& stmt);
 
 }  // namespace bornsql::engine
 

@@ -153,24 +153,6 @@ bool RowKeyEq::operator()(const ChunkKeyView& a, const Row& b) const {
   return (*this)(b, a);
 }
 
-const char* OperatorTraitName(OperatorTrait t) {
-  switch (t) {
-    case OperatorTrait::kSource: return "source";
-    case OperatorTrait::kStateless: return "stateless";
-    case OperatorTrait::kPipelineBreaker: return "pipeline_breaker";
-    case OperatorTrait::kSerialOnly: return "serial_only";
-  }
-  return "unknown";
-}
-
-void CollectOperatorTraits(const Operator& root,
-                           std::vector<OperatorTraitInfo>* out) {
-  out->push_back({&root, root.trait()});
-  for (const Operator* child : root.children()) {
-    if (child != nullptr) CollectOperatorTraits(*child, out);
-  }
-}
-
 void Operator::EnableStats(bool on) {
   stats_enabled_ = on;
   if (on) stats_.Reset();

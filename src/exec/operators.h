@@ -88,46 +88,6 @@ struct ExprBinding {
 
 class Operator;
 
-// Parallelism classification of an operator, the static half of the
-// execution-contract work that gatekeeps the morsel-parallelism arc
-// (ROADMAP item 1). Every Operator subclass must declare one; the
-// tools/check_operator_traits.py lint cross-checks the declarations against
-// the members each Next body actually mutates.
-enum class OperatorTrait {
-  // Leaf that produces rows from storage or a buffer; parallelized by
-  // splitting its input into row-range morsels, never by sharing one
-  // instance across threads.
-  kSource,
-  // Per-chunk transform whose only mutable members are per-instance scratch
-  // (input buffers, selection vectors, streaming cursors). Safe to clone
-  // per worker: no semantic state outlives the chunk currently in flight,
-  // so morsels flow through independent instances.
-  kStateless,
-  // Materializes its input (hash table, sorted run, buffered rows) before
-  // emitting. Ends a pipeline; parallel build needs explicit partitioning
-  // (partitioned build, shared probe) before instances may be shared.
-  kPipelineBreaker,
-  // Carries semantic cross-chunk state that every row must observe (a
-  // global row budget, a global seen-set, a shared lazily-filled cell).
-  // Must run on a single thread until it is rewritten for parallelism.
-  kSerialOnly,
-};
-
-// "source" / "stateless" / "pipeline_breaker" / "serial_only".
-const char* OperatorTraitName(OperatorTrait t);
-
-// One (operator, trait) entry of a plan tree's parallel-safety map.
-struct OperatorTraitInfo {
-  const Operator* op = nullptr;
-  OperatorTrait trait = OperatorTrait::kSerialOnly;
-};
-
-// Appends one entry per operator in the tree rooted at `root`, pre-order.
-// The morsel scheduler (ROADMAP item 1) consumes this to decide where
-// pipelines break and which operators need per-worker clones.
-void CollectOperatorTraits(const Operator& root,
-                           std::vector<OperatorTraitInfo>* out);
-
 // Execution-contract observer armed at every operator boundary (lint/
 // chunk_verifier.h implements it; the interface lives here so exec does not
 // depend on lint). The executor's Open/Next/Close hooks call back into the
@@ -177,11 +137,6 @@ class Operator {
 
   virtual ~Operator() { ReleaseMemory(); }
   virtual const Schema& schema() const = 0;
-
-  // Parallelism classification (see OperatorTrait). Pure virtual so a new
-  // operator cannot compile without declaring one; check_operator_traits.py
-  // lints the declaration against the members Next actually mutates.
-  virtual OperatorTrait trait() const = 0;
 
   // One-line plan description for EXPLAIN.
   virtual std::string DebugString() const = 0;
@@ -331,7 +286,6 @@ class SingleRowOp : public Operator {
  public:
   SingleRowOp() = default;
   const Schema& schema() const override { return schema_; }
-  OperatorTrait trait() const override { return OperatorTrait::kSource; }
   std::string DebugString() const override { return "SingleRow"; }
 
  protected:
@@ -360,7 +314,6 @@ class SeqScanOp : public Operator {
   SeqScanOp(const storage::Table* table, Schema schema)
       : table_(table), schema_(std::move(schema)) {}
   const Schema& schema() const override { return schema_; }
-  OperatorTrait trait() const override { return OperatorTrait::kSource; }
   std::string DebugString() const override { return StrFormat("SeqScan(%s, %zu rows)", table_->name().c_str(), table_->row_count()); }
 
  protected:
@@ -384,7 +337,6 @@ class MaterializedScanOp : public Operator {
                      Schema schema)
       : data_(std::move(data)), schema_(std::move(schema)) {}
   const Schema& schema() const override { return schema_; }
-  OperatorTrait trait() const override { return OperatorTrait::kSource; }
   std::string DebugString() const override { return StrFormat("MaterializedScan(%zu rows)", data_->rows.size()); }
 
  protected:
@@ -423,7 +375,6 @@ class SystemViewScanOp : public Operator {
         generator_(std::move(generator)),
         schema_(std::move(schema)) {}
   const Schema& schema() const override { return schema_; }
-  OperatorTrait trait() const override { return OperatorTrait::kSource; }
   std::string DebugString() const override {
     return StrFormat("SystemViewScan(%s)", view_name_.c_str());
   }
@@ -460,7 +411,6 @@ class FilterOp : public Operator {
   FilterOp(OperatorPtr child, BoundExprPtr predicate)
       : child_(std::move(child)), predicate_(std::move(predicate)) {}
   const Schema& schema() const override { return child_->schema(); }
-  OperatorTrait trait() const override { return OperatorTrait::kStateless; }
   std::string DebugString() const override { return "Filter"; }
   std::vector<Operator*> children() const override { return {child_.get()}; }
   void CollectBindings(std::vector<ExprBinding>* out) const override {
@@ -474,9 +424,9 @@ class FilterOp : public Operator {
  private:
   OperatorPtr child_;
   BoundExprPtr predicate_;
-  DataChunk input_;             // scratch: refilled from the child per pull
-  std::vector<Value> pred_vals_;  // scratch: predicate values, per chunk
-  SelectionVector sel_;           // scratch: surviving rows, per chunk
+  DataChunk input_;               // refilled from the child per pull
+  std::vector<Value> pred_vals_;  // predicate values, per chunk
+  SelectionVector sel_;           // surviving rows, per chunk
 };
 
 // Columnar projection: each output column is one EvalChunk over the input
@@ -506,7 +456,6 @@ class ProjectOp : public Operator {
     }
   }
   const Schema& schema() const override { return schema_; }
-  OperatorTrait trait() const override { return OperatorTrait::kStateless; }
   std::string DebugString() const override { return StrFormat("Project(%zu columns)", exprs_.size()); }
   std::vector<Operator*> children() const override { return {child_.get()}; }
   void CollectBindings(std::vector<ExprBinding>* out) const override {
@@ -525,7 +474,7 @@ class ProjectOp : public Operator {
   OperatorPtr child_;
   std::vector<BoundExprPtr> exprs_;
   Schema schema_;
-  DataChunk input_;  // scratch: refilled from the child per pull
+  DataChunk input_;  // refilled from the child per pull
   std::vector<size_t> bare_cols_;   // input column index, or kNotBare
   std::vector<bool> last_col_ref_;  // expr j is the last ref to its column
 };
@@ -543,9 +492,6 @@ class HashJoinOp : public Operator {
              std::vector<BoundExprPtr> left_keys,
              std::vector<BoundExprPtr> right_keys, JoinType type);
   const Schema& schema() const override { return schema_; }
-  OperatorTrait trait() const override {
-    return OperatorTrait::kPipelineBreaker;
-  }
   std::string DebugString() const override { return StrFormat("HashJoin(%s, %zu keys)", type_ == JoinType::kLeft ? "left" : "inner", left_keys_.size()); }
   std::vector<Operator*> children() const override { return {left_.get(), right_.get()}; }
   void CollectBindings(std::vector<ExprBinding>* out) const override {
@@ -615,9 +561,6 @@ class SortMergeJoinOp : public Operator {
                   std::vector<BoundExprPtr> left_keys,
                   std::vector<BoundExprPtr> right_keys, JoinType type);
   const Schema& schema() const override { return schema_; }
-  OperatorTrait trait() const override {
-    return OperatorTrait::kPipelineBreaker;
-  }
   std::string DebugString() const override { return StrFormat("SortMergeJoin(%s, %zu keys)", type_ == JoinType::kLeft ? "left" : "inner", left_keys_.size()); }
   std::vector<Operator*> children() const override { return {left_.get(), right_.get()}; }
   void CollectBindings(std::vector<ExprBinding>* out) const override {
@@ -663,9 +606,6 @@ class NestedLoopJoinOp : public Operator {
   NestedLoopJoinOp(OperatorPtr left, OperatorPtr right, BoundExprPtr predicate,
                    JoinType type);
   const Schema& schema() const override { return schema_; }
-  OperatorTrait trait() const override {
-    return OperatorTrait::kPipelineBreaker;
-  }
   std::string DebugString() const override { return StrFormat("NestedLoopJoin(%s)", type_ == JoinType::kLeft ? "left" : (type_ == JoinType::kCross ? "cross" : "inner")); }
   std::vector<Operator*> children() const override { return {left_.get(), right_.get()}; }
   void CollectBindings(std::vector<ExprBinding>* out) const override {
@@ -708,7 +648,6 @@ class IndexJoinOp : public Operator {
               Schema inner_schema, size_t index_id,
               std::vector<BoundExprPtr> outer_keys, bool inner_on_left);
   const Schema& schema() const override { return schema_; }
-  OperatorTrait trait() const override { return OperatorTrait::kStateless; }
   std::string DebugString() const override { return StrFormat("IndexJoin(%s via index, %zu keys)", inner_table_->name().c_str(), outer_keys_.size()); }
   std::vector<Operator*> children() const override { return {outer_.get()}; }
   void CollectBindings(std::vector<ExprBinding>* out) const override {
@@ -733,14 +672,12 @@ class IndexJoinOp : public Operator {
   bool inner_on_left_;
   Schema schema_;
 
-  DataChunk outer_chunk_;  // scratch: the outer chunk in flight
-  // scratch: per-chunk key columns and the emission cursor over them
-  std::vector<std::vector<Value>> outer_key_cols_;
-  size_t outer_row_ = 0;       // scratch: cursor within outer_chunk_
-  std::vector<size_t> matches_;  // scratch: index matches of the outer row
-  size_t match_pos_ = 0;         // scratch: cursor within matches_
-  // scratch: outer input exhausted; never re-pull it
-  bool outer_done_ = false;
+  DataChunk outer_chunk_;  // the outer chunk in flight
+  std::vector<std::vector<Value>> outer_key_cols_;  // its key columns
+  size_t outer_row_ = 0;         // cursor within outer_chunk_
+  std::vector<size_t> matches_;  // index matches of the outer row
+  size_t match_pos_ = 0;         // cursor within matches_
+  bool outer_done_ = false;      // outer input exhausted; never re-pull it
 };
 
 struct AggSpec {
@@ -757,9 +694,6 @@ class HashAggOp : public Operator {
   HashAggOp(OperatorPtr child, std::vector<BoundExprPtr> group_exprs,
             std::vector<AggSpec> aggs, Schema schema);
   const Schema& schema() const override { return schema_; }
-  OperatorTrait trait() const override {
-    return OperatorTrait::kPipelineBreaker;
-  }
   std::string DebugString() const override { return StrFormat("HashAggregate(%zu group keys, %zu aggregates)", group_exprs_.size(), aggs_.size()); }
   std::vector<Operator*> children() const override { return {child_.get()}; }
   // Output width contract for the plan verifier: schema = groups ++ aggs.
@@ -802,9 +736,6 @@ class SortOp : public Operator {
   SortOp(OperatorPtr child, std::vector<SortKey> keys)
       : child_(std::move(child)), keys_(std::move(keys)) {}
   const Schema& schema() const override { return child_->schema(); }
-  OperatorTrait trait() const override {
-    return OperatorTrait::kPipelineBreaker;
-  }
   std::string DebugString() const override { return StrFormat("Sort(%zu keys)", keys_.size()); }
   std::vector<Operator*> children() const override { return {child_.get()}; }
   void CollectBindings(std::vector<ExprBinding>* out) const override {
@@ -832,8 +763,6 @@ class LimitOp : public Operator {
   LimitOp(OperatorPtr child, int64_t limit, int64_t offset)
       : child_(std::move(child)), limit_(limit), offset_(offset) {}
   const Schema& schema() const override { return child_->schema(); }
-  // The row budget and offset are global: every row must observe them.
-  OperatorTrait trait() const override { return OperatorTrait::kSerialOnly; }
   std::string DebugString() const override { return StrFormat("Limit(%lld offset %lld)", static_cast<long long>(limit_), static_cast<long long>(offset_)); }
   std::vector<Operator*> children() const override { return {child_.get()}; }
 
@@ -856,9 +785,6 @@ class UnionAllOp : public Operator {
  public:
   explicit UnionAllOp(std::vector<OperatorPtr> children);
   const Schema& schema() const override { return schema_; }
-  // The child-sequencing cursor is cross-call state; a parallel executor
-  // splits the children into separate pipelines instead of sharing this op.
-  OperatorTrait trait() const override { return OperatorTrait::kSerialOnly; }
   std::string DebugString() const override {
     return StrFormat("UnionAll(%zu inputs)", children_.size());
   }
@@ -884,8 +810,6 @@ class DistinctOp : public Operator {
  public:
   explicit DistinctOp(OperatorPtr child) : child_(std::move(child)) {}
   const Schema& schema() const override { return child_->schema(); }
-  // The seen-set is global semantic state every row must probe and update.
-  OperatorTrait trait() const override { return OperatorTrait::kSerialOnly; }
   std::string DebugString() const override { return "Distinct"; }
   std::vector<Operator*> children() const override { return {child_.get()}; }
 
@@ -917,9 +841,6 @@ class WindowOp : public Operator {
  public:
   WindowOp(OperatorPtr child, std::vector<WindowSpec> specs);
   const Schema& schema() const override { return schema_; }
-  OperatorTrait trait() const override {
-    return OperatorTrait::kPipelineBreaker;
-  }
   std::string DebugString() const override { return StrFormat("Window(%zu functions)", specs_.size()); }
   std::vector<Operator*> children() const override { return {child_.get()}; }
   // Output width contract for the plan verifier: schema = child ++ specs.

@@ -437,10 +437,10 @@ std::vector<Diagnostic> LintStatement(const sql::Statement& stmt,
 
 Result<std::vector<Diagnostic>> LintSql(std::string_view sql,
                                         const catalog::Catalog* catalog) {
-  BORNSQL_ASSIGN_OR_RETURN(std::vector<sql::Statement> stmts,
+  BORNSQL_ASSIGN_OR_RETURN(std::vector<sql::ScriptStatement> script,
                            sql::ParseScript(sql));
   Linter linter(catalog);
-  for (const sql::Statement& st : stmts) linter.LintStmt(st);
+  for (const sql::ScriptStatement& s : script) linter.LintStmt(s.stmt);
   return linter.Take();
 }
 

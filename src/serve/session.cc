@@ -104,9 +104,27 @@ Result<QueryResult> Session::Execute(std::string_view sql) {
   BORNSQL_ASSIGN_OR_RETURN(std::vector<sql::Token> tokens, sql::Lex(sql));
   BORNSQL_ASSIGN_OR_RETURN(sql::Statement stmt,
                            sql::ParseStatementTokens(tokens));
+  return Dispatch(std::move(stmt), tokens);
+}
+
+Status Session::ExecuteScript(std::string_view sql) {
+  std::vector<sql::Token> tokens;
+  BORNSQL_ASSIGN_OR_RETURN(std::vector<sql::ScriptStatement> script,
+                           sql::ParseScript(sql, &tokens));
+  for (sql::ScriptStatement& s : script) {
+    statements_.fetch_add(1, std::memory_order_relaxed);
+    const std::vector<sql::Token> own(tokens.begin() + s.begin,
+                                      tokens.begin() + s.end);
+    BORNSQL_RETURN_IF_ERROR(Dispatch(std::move(s.stmt), own).status());
+  }
+  return Status::OK();
+}
+
+Result<QueryResult> Session::Dispatch(sql::Statement stmt,
+                                      const std::vector<sql::Token>& tokens) {
   switch (stmt.kind) {
     case sql::StatementKind::kPrepare:
-      return RunPrepare(sql, tokens, std::move(stmt));
+      return RunPrepare(tokens, std::move(stmt));
     case sql::StatementKind::kExecute:
       return RunExecute(*stmt.execute);
     case sql::StatementKind::kDeallocate:
@@ -129,44 +147,15 @@ Result<QueryResult> Session::Execute(std::string_view sql) {
   }
 }
 
-Status Session::ExecuteScript(std::string_view sql) {
-  // Split on top-level ';' using token offsets (a ';' inside a string
-  // literal never becomes a token), then run each slice through Execute so
-  // PREPARE bodies keep their original text.
-  BORNSQL_ASSIGN_OR_RETURN(std::vector<sql::Token> tokens, sql::Lex(sql));
-  size_t start = 0;  // token index of the current statement's first token
-  for (size_t i = 0; i <= tokens.size(); ++i) {
-    const bool boundary = i == tokens.size() ||
-                          tokens[i].type == sql::TokenType::kSemicolon ||
-                          tokens[i].type == sql::TokenType::kEof;
-    if (!boundary) continue;
-    if (i > start) {
-      const size_t begin = tokens[start].offset;
-      const size_t end = i < tokens.size() ? tokens[i].offset : sql.size();
-      auto result = Execute(sql.substr(begin, end - begin));
-      if (!result.ok()) return result.status();
-    }
-    start = i + 1;
-  }
-  return Status::OK();
-}
-
-Result<QueryResult> Session::RunPrepare(
-    std::string_view sql, const std::vector<sql::Token>& tokens,
-    sql::Statement stmt) {
+Result<QueryResult> Session::RunPrepare(const std::vector<sql::Token>& tokens,
+                                        sql::Statement stmt) {
   sql::PrepareStmt& prep = *stmt.prepare;
   auto entry = std::make_shared<Prepared>();
   entry->name = prep.name;
   entry->stmt = std::move(prep.body);
 
-  // Slice the body's original text and normalized token run (for the view
-  // and for cache/stats keys that match the equivalent ad-hoc statement).
-  std::string_view body = sql.substr(prep.body_loc.offset);
-  while (!body.empty() &&
-         (body.back() == ';' || body.back() == ' ' || body.back() == '\n' ||
-          body.back() == '\t' || body.back() == '\r')) {
-    body.remove_suffix(1);
-  }
+  // The body's normalized token run, for the view and for cache/stats keys
+  // that match the equivalent ad-hoc statement.
   size_t body_begin = 0;
   while (body_begin < tokens.size() &&
          tokens[body_begin].offset < prep.body_loc.offset) {

@@ -78,8 +78,9 @@ class Session {
   // everything else to the session's engine database.
   Result<engine::QueryResult> Execute(std::string_view sql);
 
-  // ';'-separated script, discarding SELECT results; stops at the first
-  // error.
+  // ';'-separated script, discarding SELECT results. Like
+  // Database::ExecuteScript it parses every statement before running any;
+  // stops at the first error.
   Status ExecuteScript(std::string_view sql);
 
   // The session's engine database (shared catalog, private config/trace).
@@ -131,8 +132,11 @@ class Session {
 
   Session(Server* server, uint64_t id, engine::EngineConfig config);
 
-  Result<engine::QueryResult> RunPrepare(std::string_view sql,
-                                         const std::vector<sql::Token>& tokens,
+  // Runs one parsed statement; `tokens` are the statement's own, for its
+  // keys.
+  Result<engine::QueryResult> Dispatch(sql::Statement stmt,
+                                       const std::vector<sql::Token>& tokens);
+  Result<engine::QueryResult> RunPrepare(const std::vector<sql::Token>& tokens,
                                          sql::Statement stmt);
   Result<engine::QueryResult> RunExecute(const sql::ExecuteStmt& stmt);
   Result<engine::QueryResult> RunDeallocate(const sql::DeallocateStmt& stmt);

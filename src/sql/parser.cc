@@ -1,6 +1,7 @@
 #include "sql/parser.h"
 
 #include <cassert>
+#include <span>
 
 #include "common/strings.h"
 #include "sql/lexer.h"
@@ -10,20 +11,10 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
-
-  Result<std::vector<Statement>> Script() {
-    std::vector<Statement> out;
-    while (!AtEnd()) {
-      if (Match(TokenType::kSemicolon)) continue;
-      BORNSQL_ASSIGN_OR_RETURN(Statement stmt, StatementRule());
-      out.push_back(std::move(stmt));
-      if (!AtEnd()) {
-        BORNSQL_RETURN_IF_ERROR(Expect(TokenType::kSemicolon));
-      }
-    }
-    return out;
-  }
+  // Parses `tokens`; reading past their end yields `eof`, so a script's
+  // statements parse in place out of the script's one token stream.
+  Parser(std::span<const Token> tokens, const Token& eof)
+      : tokens_(tokens), eof_(eof) {}
 
   Result<Statement> Single() {
     while (Match(TokenType::kSemicolon)) {}
@@ -42,12 +33,15 @@ class Parser {
  private:
   // ---- token plumbing ----
   const Token& Peek(size_t ahead = 0) const {
-    size_t i = pos_ + ahead;
-    if (i >= tokens_.size()) i = tokens_.size() - 1;
-    return tokens_[i];
+    const size_t i = pos_ + ahead;
+    return i < tokens_.size() ? tokens_[i] : eof_;
   }
   bool AtEnd() const { return Peek().type == TokenType::kEof; }
-  const Token& Advance() { return tokens_[pos_++]; }
+  const Token& Advance() {
+    const Token& t = Peek();
+    ++pos_;
+    return t;
+  }
 
   bool Check(TokenType t) const { return Peek().type == t; }
   bool CheckKeyword(std::string_view kw, size_t ahead = 0) const {
@@ -977,7 +971,8 @@ class Parser {
     return e;
   }
 
-  std::vector<Token> tokens_;
+  std::span<const Token> tokens_;
+  const Token& eof_;
   size_t pos_ = 0;
 };
 
@@ -985,25 +980,38 @@ class Parser {
 
 Result<Statement> ParseStatement(std::string_view sql) {
   BORNSQL_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
-  Parser p(std::move(tokens));
-  return p.Single();
+  return Parser(tokens, tokens.back()).Single();
 }
 
 Result<Statement> ParseStatementTokens(std::vector<Token> tokens) {
-  Parser p(std::move(tokens));
-  return p.Single();
+  return Parser(tokens, tokens.back()).Single();
 }
 
-Result<std::vector<Statement>> ParseScript(std::string_view sql) {
+Result<std::vector<ScriptStatement>> ParseScript(
+    std::string_view sql, std::vector<Token>* tokens_out) {
   BORNSQL_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
-  Parser p(std::move(tokens));
-  return p.Script();
+  std::vector<ScriptStatement> out;
+  size_t begin = 0;  // first token of the current statement
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    if (tokens[i].type != TokenType::kSemicolon &&
+        tokens[i].type != TokenType::kEof) {
+      continue;
+    }
+    if (i > begin) {
+      const std::span<const Token> own(tokens.data() + begin, i + 1 - begin);
+      BORNSQL_ASSIGN_OR_RETURN(Statement stmt,
+                               Parser(own, tokens.back()).Single());
+      out.push_back({std::move(stmt), begin, i + 1});
+    }
+    begin = i + 1;
+  }
+  if (tokens_out != nullptr) *tokens_out = std::move(tokens);
+  return out;
 }
 
 Result<ExprPtr> ParseExpression(std::string_view sql) {
   BORNSQL_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
-  Parser p(std::move(tokens));
-  return p.SingleExpression();
+  return Parser(tokens, tokens.back()).SingleExpression();
 }
 
 }  // namespace bornsql::sql

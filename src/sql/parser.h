@@ -20,8 +20,22 @@ Result<Statement> ParseStatement(std::string_view sql);
 // normalization — lex once instead of twice.
 Result<Statement> ParseStatementTokens(std::vector<Token> tokens);
 
-// Parses a ';'-separated script.
-Result<std::vector<Statement>> ParseScript(std::string_view sql);
+// One statement of a script: its AST and the range [begin, end) of the
+// script's tokens it was parsed from (through its ';', or up to the final
+// kEof).
+struct ScriptStatement {
+  Statement stmt;
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+// Parses a ';'-separated script: lexes it once, splits the tokens on ';'
+// (empty statements are dropped) and parses every statement before
+// returning any, so a caller that runs them runs nothing from a script
+// with a syntax error. Positions, those of parse errors too, are
+// script-relative. `tokens`, if given, receives the script's tokens.
+Result<std::vector<ScriptStatement>> ParseScript(
+    std::string_view sql, std::vector<Token>* tokens = nullptr);
 
 // Parses just an expression (used by tests).
 Result<ExprPtr> ParseExpression(std::string_view sql);

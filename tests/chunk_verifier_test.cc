@@ -31,7 +31,6 @@ using exec::DataChunk;
 using exec::MaterializedResult;
 using exec::Operator;
 using exec::OperatorPtr;
-using exec::OperatorTrait;
 using testing::MustQuery;
 
 OperatorPtr Rows(Schema schema, std::vector<Row> rows) {
@@ -260,27 +259,6 @@ TEST(ChunkVerifierLifecycleTest, CleanDrainCountsChunksRowsAndChecks) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel-safety traits.
-// ---------------------------------------------------------------------------
-
-TEST(OperatorTraitTest, TraitsAndNamesOfASmallTree) {
-  exec::FilterOp filter(Rows(IntCol(), IntRows(4)),
-                        exec::BoundLiteral(Value::Int(1)));
-  std::vector<exec::OperatorTraitInfo> traits;
-  exec::CollectOperatorTraits(filter, &traits);
-  ASSERT_EQ(traits.size(), 2u);
-  EXPECT_EQ(traits[0].trait, OperatorTrait::kStateless);
-  EXPECT_EQ(traits[1].trait, OperatorTrait::kSource);
-  EXPECT_STREQ(exec::OperatorTraitName(OperatorTrait::kStateless),
-               "stateless");
-  EXPECT_STREQ(exec::OperatorTraitName(OperatorTrait::kSource), "source");
-  EXPECT_STREQ(exec::OperatorTraitName(OperatorTrait::kPipelineBreaker),
-               "pipeline_breaker");
-  EXPECT_STREQ(exec::OperatorTraitName(OperatorTrait::kSerialOnly),
-               "serial_only");
-}
-
-// ---------------------------------------------------------------------------
 // Counter surfaces: born_stat_verifier and EXPLAIN VERIFY.
 // ---------------------------------------------------------------------------
 
@@ -318,7 +296,7 @@ TEST(ChunkVerifierSurfaceTest, DisabledVerifierAccumulatesNothing) {
   EXPECT_EQ(r.rows[0][0].AsInt(), 0);
 }
 
-TEST(ChunkVerifierSurfaceTest, ExplainVerifyShowsTraitsAndChunkCounters) {
+TEST(ChunkVerifierSurfaceTest, ExplainVerifyShowsChunkCounters) {
   engine::EngineConfig cfg;
   cfg.verify_chunks = true;
   engine::Database db(cfg);
@@ -326,18 +304,14 @@ TEST(ChunkVerifierSurfaceTest, ExplainVerifyShowsTraitsAndChunkCounters) {
       "CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1), (2)"));
   MustQuery(db, "SELECT a FROM t");
   auto r = MustQuery(db, "EXPLAIN VERIFY SELECT a FROM t WHERE a > 1");
-  std::string traits_line, chunk_line;
+  std::string chunk_line;
   for (const auto& row : r.rows) {
     const std::string& text = row[0].AsText();
-    if (text.rfind("parallel-safety traits: ", 0) == 0) traits_line = text;
     if (text.rfind("chunk verifier (BSV020-025): ", 0) == 0) {
       chunk_line = text;
     }
   }
-  ASSERT_FALSE(traits_line.empty());
   ASSERT_FALSE(chunk_line.empty());
-  // The filter plan has at least a source and one more operator.
-  EXPECT_NE(traits_line.find("source"), std::string::npos) << traits_line;
   EXPECT_NE(chunk_line.find("on;"), std::string::npos) << chunk_line;
   EXPECT_NE(chunk_line.find("queries verified"), std::string::npos)
       << chunk_line;

@@ -277,6 +277,34 @@ TEST(SetStatementTest, TogglesCollectExecStats) {
   EXPECT_EQ(metrics.operator_aggregate("SeqScan").instances, 1u);
 }
 
+TEST(StatStatementsTest, TotalTimeIsTheSumOfTraceSpans) {
+  Database db;
+  LoadFixture(&db);
+  // A long statement, so its lex and parse are a visible share of it:
+  // every sink times the statement's trace span, prologue included.
+  std::string sql = "SELECT a FROM t1 WHERE a IN (0";
+  for (int i = 1; i < 2000; ++i) sql += ", " + std::to_string(i);
+  sql += ")";
+  db.trace().Clear();
+  for (int i = 0; i < 20; ++i) MustQuery(db, sql);
+  const std::vector<obs::StatementTrace> traces = db.trace().Snapshot();
+  ASSERT_EQ(traces.size(), 20u);
+  uint64_t trace_ns = 0;
+  for (const obs::StatementTrace& trace : traces) {
+    EXPECT_EQ(trace.statement, traces[0].statement);
+    trace_ns += trace.dur_ns;
+  }
+  QueryResult stats =
+      MustQuery(db, "SELECT query, calls, total_ms FROM born_stat_statements");
+  const auto row = std::find_if(
+      stats.rows.begin(), stats.rows.end(),
+      [&](const Row& r) { return r[0].AsText() == traces[0].statement; });
+  ASSERT_NE(row, stats.rows.end());
+  EXPECT_EQ((*row)[1].AsInt(), 20);
+  const double trace_ms = static_cast<double>(trace_ns) / 1e6;
+  EXPECT_NEAR((*row)[2].AsDouble(), trace_ms, 1e-6 * trace_ms);
+}
+
 TEST(SlowQueryLogTest, DisarmedByDefault) {
   Database db;
   LoadFixture(&db);
@@ -445,25 +473,6 @@ TEST(TraceTest, ExportTraceWritesLoadableFile) {
 
 // ---------------------------------------------------------------------------
 // Statement normalization
-
-TEST(SqlTextTest, FallbackKeysForPreparedStatements) {
-  Database db;
-  LoadFixture(&db);
-  auto parsed = sql::ParseStatement("SELECT a FROM t1 WHERE a = 1");
-  BORNSQL_ASSERT_OK(parsed.status());
-  // ExecuteStatement has no statement text; executions aggregate under the
-  // coarse prepared-statement key.
-  for (int i = 0; i < 3; ++i) {
-    auto result = db.ExecuteStatement(*parsed);
-    BORNSQL_ASSERT_OK(result.status());
-  }
-  QueryResult stats = MustQuery(
-      db,
-      "SELECT calls FROM born_stat_statements "
-      "WHERE query = '<prepared SELECT>'");
-  ASSERT_EQ(stats.rows.size(), 1u);
-  EXPECT_EQ(stats.rows[0][0].AsInt(), 3);
-}
 
 TEST(SqlTextTest, ScriptStatementsGetPerStatementKeys) {
   Database db;

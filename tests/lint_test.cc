@@ -267,6 +267,19 @@ TEST(LintTest, LintSqlFailsOnlyOnParseErrors) {
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
 }
 
+TEST(LintTest, LintSqlAndExecuteScriptReportTheSameParseError) {
+  // Lint and execution split scripts with one splitter, so a missing ';'
+  // fails both with one message at one script-relative position.
+  const char* script = "SELECT 1;\nSELECT 2 SELECT 3;";
+  auto lint = LintSql(script, nullptr);
+  ASSERT_FALSE(lint.ok());
+  engine::Database db;
+  const Status exec = db.ExecuteScript(script);
+  EXPECT_EQ(lint.status().ToString(), exec.ToString());
+  EXPECT_NE(exec.message().find("line 2:10"), std::string::npos)
+      << exec.ToString();
+}
+
 TEST(LintTest, LintSqlWalksEveryStatementOfAScript) {
   auto diags = MustLint("DELETE FROM t;\nUPDATE t SET a = 1;");
   ASSERT_EQ(Codes(diags), (std::vector<std::string>{"BSL007", "BSL007"}));

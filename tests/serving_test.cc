@@ -362,6 +362,109 @@ TEST(ServingCacheTest, HitSkipsParsePlanPhasesInTrace) {
   EXPECT_EQ(trace.find("\"lex\""), std::string::npos) << trace;
 }
 
+// What one statement leaves in each sink of the session's database.
+struct SinkCounts {
+  uint64_t executed = 0;
+  uint64_t failed = 0;
+  uint64_t latency_samples = 0;
+  uint64_t calls = 0;
+  uint64_t errors = 0;
+  uint64_t slow_logged = 0;
+};
+
+SinkCounts ReadSinks(engine::Database& db, const std::string& key) {
+  SinkCounts out;
+  out.executed = db.metrics().counter(obs::kQueriesExecuted);
+  out.failed = db.metrics().counter(obs::kQueriesFailed);
+  out.latency_samples =
+      db.metrics().histogram(obs::kStatementLatencyUs).count();
+  const auto stats = db.statement_stats().Snapshot();
+  if (auto it = stats.find(key); it != stats.end()) {
+    out.calls = it->second.calls;
+    out.errors = it->second.errors;
+  }
+  out.slow_logged = db.slow_log().size();
+  return out;
+}
+
+TEST(ServingCacheTest, CachedAndUncachedRunsFeedEverySinkOnce) {
+  auto server = MakeServer();
+  auto session = server->Connect();
+  engine::Database& db = session->database();
+  const std::string sql = "SELECT b FROM t WHERE a = 2";
+  const std::string key =
+      "s" + std::to_string(session->id()) + ": SELECT b FROM t WHERE a = ?";
+  MustExecute(*session, "SET born.slow_query_ms = 0");
+  MustExecute(*session, sql);  // miss: builds and caches the plan
+
+  // Runs `sql` once, then checks it added exactly one of everything.
+  const auto run_once = [&](bool cached, bool fails) {
+    SCOPED_TRACE(std::string(cached ? "cached" : "uncached") +
+                 (fails ? ", failing" : ""));
+    const uint64_t hits = session->cache_hits();
+    const SinkCounts before = ReadSinks(db, key);
+    db.trace().Clear();
+    EXPECT_EQ(session->Execute(sql).ok(), !fails);
+    const SinkCounts after = ReadSinks(db, key);
+    EXPECT_EQ(session->cache_hits() - hits, cached ? 1u : 0u);
+    EXPECT_EQ(after.executed - before.executed, 1u);
+    EXPECT_EQ(after.latency_samples - before.latency_samples, 1u);
+    EXPECT_EQ(after.calls - before.calls, 1u);
+    EXPECT_EQ(after.failed - before.failed, fails ? 1u : 0u);
+    EXPECT_EQ(after.errors - before.errors, fails ? 1u : 0u);
+    // Failed statements are never slow-logged.
+    EXPECT_EQ(after.slow_logged - before.slow_logged, fails ? 0u : 1u);
+    const std::vector<obs::StatementTrace> traces = db.trace().Snapshot();
+    ASSERT_EQ(traces.size(), 1u);
+    EXPECT_EQ(traces[0].statement, key);
+    EXPECT_EQ(traces[0].error, fails);
+  };
+  run_once(/*cached=*/true, /*fails=*/false);
+  MustExecute(*session, "SET born.plan_cache = 0");
+  run_once(/*cached=*/false, /*fails=*/false);
+
+  // A one-byte budget fails every run at its result buffer.
+  MustExecute(*session, "SET born.memory_limit = 1");
+  MustExecute(*session, "SET born.plan_cache = 1");
+  run_once(/*cached=*/true, /*fails=*/true);
+  MustExecute(*session, "SET born.plan_cache = 0");
+  run_once(/*cached=*/false, /*fails=*/true);
+}
+
+TEST(ServingSessionTest, ScriptsParseEveryStatementBeforeRunningAny) {
+  // Statement 3 has a syntax error at script column 55: neither script
+  // path runs the statements before it, and both report the position
+  // within the script.
+  const std::string script =
+      "CREATE TABLE a (x INTEGER); INSERT INTO a VALUES (1); SELEC oops; "
+      "INSERT INTO a VALUES (2);";
+  engine::Database db;
+  const Status db_status = db.ExecuteScript(script);
+  Server server;
+  auto session = server.Connect();
+  const Status session_status = session->ExecuteScript(script);
+  for (const Status& status : {db_status, session_status}) {
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+    EXPECT_NE(status.message().find("line 1:55"), std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_FALSE(db.catalog().Exists("a"));
+  EXPECT_FALSE(session->database().catalog().Exists("a"));
+}
+
+TEST(ServingSessionTest, ScriptedPrepareKeysItsOwnBody) {
+  auto server = MakeServer();
+  auto session = server->Connect();
+  BORNSQL_ASSERT_OK(session->ExecuteScript(
+      "PREPARE p AS SELECT b FROM t WHERE a = $1; PREPARE q AS SELECT 1;"));
+  EXPECT_EQ(testing::RowStrings(MustExecute(*session, "EXECUTE p(2)")),
+            std::vector<std::string>{"y"});
+  auto prepared = MustExecute(
+      *session, "SELECT statement FROM born_stat_prepared WHERE name = 'p'");
+  EXPECT_EQ(testing::RowStrings(prepared),
+            std::vector<std::string>{"SELECT b FROM t WHERE a = $1"});
+}
+
 TEST(ServingViewsTest, PreparedSessionsAndPlanCacheViews) {
   auto server = MakeServer();
   auto session = server->Connect();

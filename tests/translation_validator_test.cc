@@ -89,8 +89,8 @@ TEST_F(TranslationValidatorTest, CleanStatementValidatesWithZeroViolations) {
                      "EXPLAIN VERIFY SELECT t.a, count(u.b) FROM t, u "
                      "WHERE t.a = u.a AND t.b > 1 + 2 GROUP BY t.a");
   ASSERT_FALSE(r.rows.empty());
-  // EXPLAIN VERIFY appends trait and chunk-verifier lines after the two
-  // verdicts, so locate the translation-validation line by content.
+  // EXPLAIN VERIFY appends a chunk-verifier line after the two verdicts,
+  // so locate the translation-validation line by content.
   std::string line;
   for (const auto& row : r.rows) {
     if (row[0].AsText().find("translation-validated") != std::string::npos) {

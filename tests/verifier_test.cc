@@ -133,18 +133,16 @@ TEST_F(VerifierEngineTest, ExplainVerifyReportsChecksAndZeroViolations) {
                      "item_feature f WHERE i.n = f.n GROUP BY i.n");
   ASSERT_EQ(r.column_names, (std::vector<std::string>{"verify"}));
   // One row per verifier — physical plan invariants, then the optimizer
-  // translation validator — followed by the plan's parallel-safety trait
-  // census and the execution-contract verifier's cumulative counters.
-  ASSERT_EQ(r.rows.size(), 4u);
+  // translation validator — followed by the execution-contract verifier's
+  // cumulative counters.
+  ASSERT_EQ(r.rows.size(), 3u);
   const std::string& line = r.rows[0][0].AsText();
   EXPECT_EQ(line.find("ok: "), 0u) << line;
   EXPECT_NE(line.find("0 violations"), std::string::npos) << line;
   const std::string& vline = r.rows[1][0].AsText();
   EXPECT_EQ(vline.find("ok: "), 0u) << vline;
   EXPECT_NE(vline.find("translation-validated"), std::string::npos) << vline;
-  const std::string& tline = r.rows[2][0].AsText();
-  EXPECT_EQ(tline.find("parallel-safety traits: "), 0u) << tline;
-  const std::string& cline = r.rows[3][0].AsText();
+  const std::string& cline = r.rows[2][0].AsText();
   EXPECT_EQ(cline.find("chunk verifier (BSV020-025): "), 0u) << cline;
 }
 
@@ -244,9 +242,9 @@ TEST_F(VerifierEngineTest, GeneratedSqlSurvivesExplainVerifyAndLint) {
   for (const std::string& sql :
        {clf.BuildPredictSql(kAllItems), clf.BuildPredictProbaSql(kAllItems)}) {
     auto verify = MustQuery(db_, "EXPLAIN VERIFY " + sql);
-    // Plan-invariant and translation-validator verdicts, then the trait
-    // census and chunk-verifier counter lines.
-    ASSERT_EQ(verify.rows.size(), 4u) << sql;
+    // Plan-invariant and translation-validator verdicts, then the
+    // chunk-verifier counter line.
+    ASSERT_EQ(verify.rows.size(), 3u) << sql;
     for (size_t i = 0; i < 2; ++i) {
       EXPECT_EQ(verify.rows[i][0].AsText().find("ok: "), 0u)
           << verify.rows[i][0].AsText();

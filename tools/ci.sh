@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point. Legs, in order:
 #   1   default build + full test suite
+#   1a  the benchmark's own tests (lifebench/test_lifebench.py): builds
+#       the lifecycle benchmark against src/ and runs both workloads on a
+#       small dataset, checking every answer and every printed metric
 #   1b  trace export smoke (Chrome trace JSON shape)
 #   1c  plan snapshots: golden logical+physical plans for every driver
 #       statement across the 3 join strategies x 2 CTE modes
@@ -24,14 +27,12 @@
 #       optimizer/planner core and the concurrent serving/observability
 #       layers (skipped with a notice when clang-tidy is not installed)
 #   5   concurrency static analysis: the annotation-coverage lint
-#       (tools/check_annotations.py) and the operator parallel-safety
-#       trait lint (tools/check_operator_traits.py) — both always run,
-#       pure Python — then a clang build of src/ with -Wthread-safety
-#       promoted to errors (skipped with a notice when clang++ is not
-#       installed)
+#       (tools/check_annotations.py, pure Python, always runs), then a
+#       clang build of src/ with -Wthread-safety promoted to errors
+#       (skipped with a notice when clang++ is not installed)
 #
 #   tools/ci.sh            # all legs
-#   tools/ci.sh --fast     # leg 1 + 1b + 1c only
+#   tools/ci.sh --fast     # leg 1 + 1a + 1b + 1c only
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -46,6 +47,13 @@ run_leg() {
 
 echo "=== leg 1: default build ==="
 run_leg build
+
+echo "=== leg 1a: benchmark tests ==="
+# The benchmark compiles src/ on its own (no root CMake target builds it)
+# and drives the public entry points the driver and the serving layer use,
+# so this is where a change to those signatures or to the lifecycle's
+# answers shows up.
+python3 lifebench/test_lifebench.py
 
 echo "=== leg 1b: trace export smoke ==="
 # A bench run with --trace-json= must emit well-formed Chrome trace JSON
@@ -233,13 +241,6 @@ EOF
   # every member of a lock-owning class is BORN_GUARDED_BY or carries an
   # explicit reviewed waiver. Pure Python — runs everywhere.
   python3 tools/check_annotations.py
-  # Operator parallel-safety traits: every exec::Operator subclass declares
-  # its scheduling contract (source / stateless / pipeline-breaker /
-  # serial-only) and kStateless operators provably mutate nothing in their
-  # Next path beyond waived per-instance scratch. The self-test keeps the
-  # lint itself honest before it judges the tree.
-  python3 tools/check_operator_traits.py --self-test
-  python3 tools/check_operator_traits.py
   # Clang thread-safety analysis over the annotations: proves guarded
   # members are only touched with their lock held. gcc has no equivalent,
   # so this sub-leg skips (with a notice) where clang++ is absent.
