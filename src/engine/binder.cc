@@ -322,10 +322,12 @@ bool ContainsWindow(const sql::Expr& e) {
 }
 
 Result<Value> EvalConstExpr(const sql::Expr& expr) {
-  Schema empty;
-  BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr bound, BindExpr(expr, empty));
-  Row row;
-  return exec::Eval(*bound, row);
+  BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr bound, BindExpr(expr, Schema()));
+  exec::DataChunk one_row;  // no columns, one row
+  one_row.SetCardinality(1);
+  std::vector<Value> out;
+  BORNSQL_RETURN_IF_ERROR(exec::EvalChunk(*bound, one_row, &out));
+  return out[0];
 }
 
 bool IsEquiPair(const sql::Expr& e, const Schema& left, const Schema& right,

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "common/strings.h"
-#include "common/timer.h"
 #include "engine/binder.h"
 #include "engine/optimizer.h"
 #include "engine/parameters.h"
@@ -36,15 +35,19 @@ obs::PlanStatsNode CapturePlan(const exec::Operator& op) {
 
 // Folds an instrumented plan into the registry: per-operator-type
 // aggregates, rows_scanned from the scan leaves, join_probes from each
-// join's probe input. `seen` dedupes CTE subtrees shared by several gates.
-void AccumulatePlanMetrics(obs::MetricsRegistry* metrics,
-                           const exec::Operator& op,
-                           std::unordered_set<const exec::Operator*>* seen) {
+// join's probe input. With a non-null `trace` it also appends one span per
+// operator, over the lifetime interval (first/last hook timestamps) its
+// stats collected. `seen` dedupes CTE subtrees shared by several gates.
+void FoldPlanStats(obs::MetricsRegistry* metrics,
+                   const obs::TraceRecorder& recorder,
+                   obs::StatementTrace* trace, const exec::Operator& op,
+                   std::unordered_set<const exec::Operator*>* seen) {
   if (!seen->insert(&op).second) return;
+  const obs::OperatorStats& stats = op.stats();
   const std::string type = obs::OperatorTypeOf(op.DebugString());
-  metrics->RecordOperator(type, op.stats());
+  metrics->RecordOperator(type, stats);
   if (type == "SeqScan" || type == "MaterializedScan" || type == "CteScan") {
-    metrics->IncrementCounter(obs::kRowsScanned, op.stats().rows_emitted);
+    metrics->IncrementCounter(obs::kRowsScanned, stats.rows_emitted);
   }
   const std::vector<exec::Operator*> children = op.children();
   const bool is_join = type == "HashJoin" || type == "SortMergeJoin" ||
@@ -53,25 +56,18 @@ void AccumulatePlanMetrics(obs::MetricsRegistry* metrics,
     metrics->IncrementCounter(obs::kJoinProbes,
                               children.front()->stats().rows_emitted);
   }
+  if (trace != nullptr && stats.first_ns != 0) {
+    trace->spans.push_back(
+        {op.DebugString(), "operator", recorder.RelativeNs(stats.first_ns),
+         stats.last_ns > stats.first_ns ? stats.last_ns - stats.first_ns : 0});
+  }
   for (const exec::Operator* child : children) {
-    if (child != nullptr) AccumulatePlanMetrics(metrics, *child, seen);
+    if (child != nullptr) FoldPlanStats(metrics, recorder, trace, *child, seen);
   }
 }
 
-// Synthetic stats for DML root nodes (Insert/Update/Delete), which are not
-// iterator operators: one "open", rows_affected as the row count, and the
-// statement's total wall time.
-obs::OperatorStats DmlStats(size_t rows_affected, double elapsed_seconds) {
-  obs::OperatorStats stats;
-  stats.open_calls = 1;
-  stats.rows_emitted = rows_affected;
-  stats.wall_nanos = static_cast<uint64_t>(elapsed_seconds * 1e9);
-  return stats;
-}
-
 // The SELECT a statement embeds (SELECT, INSERT ... SELECT, CREATE TABLE
-// ... AS), or null: the statements with an operator tree and a logical
-// plan.
+// ... AS), or null: the statements with a logical plan.
 const sql::SelectStmt* EmbeddedSelect(const sql::Statement& stmt) {
   switch (stmt.kind) {
     case sql::StatementKind::kSelect:
@@ -85,11 +81,39 @@ const sql::SelectStmt* EmbeddedSelect(const sql::Statement& stmt) {
   }
 }
 
+// Statements that produce or write rows: they run as an operator tree
+// (Planner::PlanStatement). DDL and SET run as direct calls.
+bool HasPlan(const sql::Statement& stmt) {
+  return stmt.kind == sql::StatementKind::kInsert ||
+         stmt.kind == sql::StatementKind::kUpdate ||
+         stmt.kind == sql::StatementKind::kDelete ||
+         EmbeddedSelect(stmt) != nullptr;
+}
+
 Status ServingSessionRequired() {
   // Prepared-statement state is per session, not per database.
   return Status::InvalidArgument(
       "PREPARE/EXECUTE/DEALLOCATE require a serving session "
       "(serve::Session)");
+}
+
+// A one-column text result, one row per line (the EXPLAIN outputs).
+QueryResult TextRows(const char* column, std::vector<std::string> lines) {
+  QueryResult out;
+  out.column_names = {column};
+  for (std::string& line : lines) {
+    out.rows.push_back({Value::Text(std::move(line))});
+  }
+  return out;
+}
+
+// One line per diagnostic, or `ok` when there are none.
+void AddDiagnosticLines(const std::vector<lint::Diagnostic>& diags,
+                        std::string ok, std::vector<std::string>* lines) {
+  if (diags.empty()) lines->push_back(std::move(ok));
+  for (const lint::Diagnostic& d : diags) {
+    lines->push_back(lint::FormatDiagnostic(d));
+  }
 }
 
 // Moves a drained result into rows, freeing each chunk's buffers as its
@@ -111,29 +135,6 @@ QueryResult ToQueryResult(exec::MaterializedChunks data) {
     chunk.Clear();
   }
   return out;
-}
-
-// Appends one trace span per instrumented operator, using the lifetime
-// interval (first/last hook timestamps) each operator's stats collected.
-// `seen` dedupes CTE subtrees shared by several gates.
-void AppendOperatorSpans(const obs::TraceRecorder& recorder,
-                         const exec::Operator& op, obs::StatementTrace* trace,
-                         std::unordered_set<const exec::Operator*>* seen) {
-  if (!seen->insert(&op).second) return;
-  const obs::OperatorStats& stats = op.stats();
-  if (stats.first_ns != 0) {
-    obs::TraceSpan span;
-    span.name = op.DebugString();
-    span.category = "operator";
-    span.start_ns = recorder.RelativeNs(stats.first_ns);
-    span.dur_ns = stats.last_ns > stats.first_ns
-                      ? stats.last_ns - stats.first_ns
-                      : 0;
-    trace->spans.push_back(std::move(span));
-  }
-  for (const exec::Operator* child : op.children()) {
-    if (child != nullptr) AppendOperatorSpans(recorder, *child, trace, seen);
-  }
 }
 
 }  // namespace
@@ -306,8 +307,8 @@ Result<QueryResult> Database::ExecuteTracked(sql::StatementKind kind,
 
   if (ctx->tracing) {
     if (ctx->trace.spans.size() == spans_before) {
-      // No fine-grained spans were recorded (pure-DML path without an
-      // embedded SELECT): cover the body with one coarse execute span.
+      // No fine-grained spans were recorded (DDL and SET run no operator
+      // tree): cover the body with one coarse execute span.
       ctx->trace.spans.push_back(
           {"execute", "phase", body_start, end_ns - body_start});
     }
@@ -340,54 +341,25 @@ Status Database::ExportTrace(const std::string& path) const {
 
 Result<QueryResult> Database::DispatchStatement(const sql::Statement& stmt,
                                                 obs::PlanStatsNode* profile) {
-  if (stmt.kind == sql::StatementKind::kSelect) {
-    return RunSelect(*stmt.select, profile);
-  }
+  if (HasPlan(stmt)) return RunPlanned(stmt, profile);
   if (stmt.kind == sql::StatementKind::kExplain) return RunExplain(stmt);
-  // The root node is described before the statement mutates anything;
-  // its stats and the embedded SELECT's annotated plan are added after.
-  WallTimer timer;
-  obs::PlanStatsNode root;
-  obs::PlanStatsNode select_plan;
-  obs::PlanStatsNode* select_profile = nullptr;
+  // The rest run no operator: a profiled one reports its described root,
+  // without stats. The root is described before the statement runs.
   if (profile != nullptr) {
-    BORNSQL_ASSIGN_OR_RETURN(root, DescribeRoot(stmt));
-    select_profile = &select_plan;
+    BORNSQL_ASSIGN_OR_RETURN(*profile, DescribeRoot(stmt));
   }
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    switch (stmt.kind) {
-      case sql::StatementKind::kCreateTable:
-        return RunCreateTable(*stmt.create_table, select_profile);
-      case sql::StatementKind::kDropTable:
-        return RunDropTable(*stmt.drop_table);
-      case sql::StatementKind::kCreateIndex:
-        return RunCreateIndex(*stmt.create_index);
-      case sql::StatementKind::kInsert:
-        return RunInsert(*stmt.insert, select_profile);
-      case sql::StatementKind::kUpdate:
-        return RunUpdate(*stmt.update);
-      case sql::StatementKind::kDelete:
-        return RunDelete(*stmt.del);
-      case sql::StatementKind::kSet:
-        return RunSet(*stmt.set);
-      case sql::StatementKind::kPrepare:
-      case sql::StatementKind::kExecute:
-      case sql::StatementKind::kDeallocate:
-        return ServingSessionRequired();
-      case sql::StatementKind::kSelect:
-      case sql::StatementKind::kExplain:
-        break;  // dispatched above
-    }
-    return Status::Internal("bad statement kind");
-  }();
-  if (profile == nullptr || !result.ok()) return result;
-  root.has_stats = true;
-  root.stats = DmlStats(result->rows_affected, timer.ElapsedSeconds());
-  if (!select_plan.name.empty()) {
-    root.children.push_back(std::move(select_plan));
+  switch (stmt.kind) {
+    case sql::StatementKind::kCreateTable:
+      return RunCreateTable(*stmt.create_table);
+    case sql::StatementKind::kDropTable:
+      return RunDropTable(*stmt.drop_table);
+    case sql::StatementKind::kCreateIndex:
+      return RunCreateIndex(*stmt.create_index);
+    case sql::StatementKind::kSet:
+      return RunSet(*stmt.set);
+    default:
+      return ServingSessionRequired();  // PREPARE, EXECUTE, DEALLOCATE
   }
-  *profile = std::move(root);
-  return result;
 }
 
 bool Database::ComposedViews::IsSystemView(const std::string& name) const {
@@ -540,22 +512,20 @@ Result<QueryResult> Database::RunSet(const sql::SetStmt& stmt) {
   return QueryResult{};
 }
 
-Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
-                                        obs::PlanStatsNode* profile) {
-  BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks data,
-                           ExecSelect(stmt, profile));
-  return ToQueryResult(std::move(data));
-}
-
-Result<exec::MaterializedChunks> Database::ExecSelect(
-    const sql::SelectStmt& stmt, obs::PlanStatsNode* profile) {
+Result<QueryResult> Database::RunPlanned(const sql::Statement& stmt,
+                                         obs::PlanStatsNode* profile) {
   // Binding interleaves with planning in this engine (the planner calls the
   // binder per expression), so the trace gets one merged bind+plan span.
   const uint64_t plan_start = PhaseStart(active_trace_);
   BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr tree,
-                           MakePlanner().PlanSelect(stmt));
+                           MakePlanner().PlanStatement(stmt));
   AddPhaseSpan(active_trace_, "bind+plan", plan_start);
-  return ExecPlan(std::move(tree), profile);
+  BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks data,
+                           ExecPlan(std::move(tree), profile));
+  QueryResult out = ToQueryResult(std::move(data));
+  if (stmt.kind == sql::StatementKind::kSelect) return out;
+  // A write sink's one row is the number of rows it wrote.
+  return QueryResult{{}, {}, static_cast<size_t>(out.rows[0][0].AsInt())};
 }
 
 Result<exec::MaterializedChunks> Database::ExecPlan(
@@ -606,87 +576,27 @@ Result<exec::MaterializedChunks> Database::ExecPlan(
   if (!drained.ok()) return drained.status();
   if (instrument) {
     std::unordered_set<const exec::Operator*> seen;
-    AccumulatePlanMetrics(metrics_, *plan, &seen);
+    FoldPlanStats(metrics_, trace_, active_trace_, *plan, &seen);
     if (profile != nullptr) *profile = CapturePlan(*plan);
-    if (active_trace_ != nullptr) {
-      std::unordered_set<const exec::Operator*> span_seen;
-      AppendOperatorSpans(trace_, *plan, active_trace_, &span_seen);
-    }
   }
   return drained;
 }
 
 Result<obs::PlanStatsNode> Database::DescribePlan(const sql::Statement& stmt) {
-  obs::PlanStatsNode root;
-  if (stmt.kind != sql::StatementKind::kSelect) {
-    BORNSQL_ASSIGN_OR_RETURN(root, DescribeRoot(stmt));
-  }
-  const sql::SelectStmt* select = EmbeddedSelect(stmt);
-  if (select == nullptr) return root;
+  if (!HasPlan(stmt)) return DescribeRoot(stmt);
   BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr plan,
-                           MakePlanner().PlanSelect(*select));
-  if (stmt.kind == sql::StatementKind::kSelect) return CapturePlan(*plan);
-  root.children.push_back(CapturePlan(*plan));
-  return root;
+                           MakePlanner().PlanStatement(stmt));
+  return CapturePlan(*plan);
 }
 
 Result<obs::PlanStatsNode> Database::DescribeRoot(const sql::Statement& stmt) {
   obs::PlanStatsNode root;
   switch (stmt.kind) {
-    case sql::StatementKind::kInsert: {
-      const sql::InsertStmt& ins = *stmt.insert;
-      BORNSQL_RETURN_IF_ERROR(catalog_->GetTable(ins.table).status());
-      root.name = StrFormat("Insert(%s%s)", ins.table.c_str(),
-                            ins.on_conflict != nullptr ? ", on conflict" : "");
-      if (ins.select == nullptr) {
-        obs::PlanStatsNode values;
-        values.name = StrFormat("Values(%zu rows)", ins.values.size());
-        root.children.push_back(std::move(values));
-      }
+    case sql::StatementKind::kCreateTable:
+      root.name = StrFormat("CreateTable(%s, %zu columns)",
+                            stmt.create_table->table.c_str(),
+                            stmt.create_table->columns.size());
       return root;
-    }
-    case sql::StatementKind::kUpdate:
-    case sql::StatementKind::kDelete: {
-      const bool is_update = stmt.kind == sql::StatementKind::kUpdate;
-      const std::string& table_name =
-          is_update ? stmt.update->table : stmt.del->table;
-      const sql::Expr* where =
-          is_update ? stmt.update->where.get() : stmt.del->where.get();
-      BORNSQL_ASSIGN_OR_RETURN(storage::Table * table,
-                               catalog_->GetTable(table_name));
-      root.name = is_update
-                      ? StrFormat("Update(%s, %zu set clauses)",
-                                  table_name.c_str(),
-                                  stmt.update->set_clauses.size())
-                      : StrFormat("Delete(%s)", table_name.c_str());
-      // UPDATE and DELETE scan the table directly rather than through
-      // operators; the synthetic scan examines every row it holds before
-      // the statement runs (the counts EXPLAIN ANALYZE shows).
-      obs::PlanStatsNode scan;
-      scan.name = StrFormat("SeqScan(%s, %zu rows)", table_name.c_str(),
-                            table->row_count());
-      scan.has_stats = true;
-      scan.stats.open_calls = 1;
-      scan.stats.rows_emitted = table->row_count();
-      scan.stats.next_calls = table->row_count();
-      if (where != nullptr) {
-        obs::PlanStatsNode filter;
-        filter.name = "Filter";
-        filter.children.push_back(std::move(scan));
-        root.children.push_back(std::move(filter));
-      } else {
-        root.children.push_back(std::move(scan));
-      }
-      return root;
-    }
-    case sql::StatementKind::kCreateTable: {
-      const sql::CreateTableStmt& ct = *stmt.create_table;
-      root.name = ct.as_select != nullptr
-                      ? StrFormat("CreateTableAs(%s)", ct.table.c_str())
-                      : StrFormat("CreateTable(%s, %zu columns)",
-                                  ct.table.c_str(), ct.columns.size());
-      return root;
-    }
     case sql::StatementKind::kDropTable:
       root.name = StrFormat("DropTable(%s)", stmt.drop_table->table.c_str());
       return root;
@@ -701,15 +611,9 @@ Result<obs::PlanStatsNode> Database::DescribeRoot(const sql::Statement& stmt) {
     case sql::StatementKind::kSet:
       root.name = StrFormat("Set(%s)", stmt.set->name.c_str());
       return root;
-    case sql::StatementKind::kPrepare:
-    case sql::StatementKind::kExecute:
-    case sql::StatementKind::kDeallocate:
+    default:  // PREPARE, EXECUTE, DEALLOCATE (nested EXPLAIN never parses)
       return ServingSessionRequired();
-    case sql::StatementKind::kSelect:
-    case sql::StatementKind::kExplain:
-      break;  // SELECT has a real plan; the parser rejects nested EXPLAIN
   }
-  return Status::Internal("bad statement kind in EXPLAIN");
 }
 
 Result<QueryResult> Database::RunExplain(const sql::Statement& stmt) {
@@ -723,27 +627,20 @@ Result<QueryResult> Database::RunExplain(const sql::Statement& stmt) {
   } else {
     BORNSQL_ASSIGN_OR_RETURN(plan, DescribePlan(*stmt.explained));
   }
-  QueryResult out;
-  out.column_names = {"plan"};
-  for (std::string& line :
-       obs::RenderPlanLines(plan, /*with_stats=*/stmt.explain_analyze)) {
-    out.rows.push_back({Value::Text(std::move(line))});
-  }
+  std::vector<std::string> lines =
+      obs::RenderPlanLines(plan, /*with_stats=*/stmt.explain_analyze);
   if (std::string note = IndexJoinNote(); !note.empty()) {
-    out.rows.push_back({Value::Text(std::move(note))});
+    lines.push_back(std::move(note));
   }
-  return out;
+  return TextRows("plan", std::move(lines));
 }
 
 Result<QueryResult> Database::RunExplainLogical(const sql::Statement& stmt) {
   // Only statements with an embedded SELECT have a logical plan.
   const sql::SelectStmt* select = EmbeddedSelect(stmt);
-  QueryResult out;
-  out.column_names = {"plan"};
   if (select == nullptr) {
-    out.rows.push_back(
-        {Value::Text("statement has no logical plan (no embedded SELECT)")});
-    return out;
+    return TextRows("plan",
+                    {"statement has no logical plan (no embedded SELECT)"});
   }
   Planner planner = MakePlanner();
   // Two independent builds: the "before" tree stays naive (CTE bodies
@@ -754,31 +651,24 @@ Result<QueryResult> Database::RunExplainLogical(const sql::Statement& stmt) {
   BORNSQL_ASSIGN_OR_RETURN(plan::LogicalPlan after,
                            planner.BuildLogical(*select));
   BORNSQL_RETURN_IF_ERROR(planner.OptimizeLogical(&after));
-  out.rows.push_back({Value::Text("logical plan (before rules):")});
+  std::vector<std::string> lines = {"logical plan (before rules):"};
   for (std::string& line : plan::RenderLogicalLines(before)) {
-    out.rows.push_back({Value::Text("  " + std::move(line))});
+    lines.push_back("  " + std::move(line));
   }
-  out.rows.push_back({Value::Text("logical plan (after rules):")});
+  lines.push_back("logical plan (after rules):");
   for (std::string& line : plan::RenderLogicalLines(after)) {
-    out.rows.push_back({Value::Text("  " + std::move(line))});
+    lines.push_back("  " + std::move(line));
   }
   if (std::string note = IndexJoinNote(); !note.empty()) {
-    out.rows.push_back({Value::Text(std::move(note))});
+    lines.push_back(std::move(note));
   }
-  return out;
+  return TextRows("plan", std::move(lines));
 }
 
 Result<QueryResult> Database::RunExplainVerify(const sql::Statement& stmt) {
-  // Only statements with an embedded SELECT have an operator tree; the
-  // remaining kinds (INSERT VALUES, UPDATE, DELETE, DDL) execute through
-  // dedicated non-operator paths with nothing for the verifier to walk.
-  const sql::SelectStmt* select = EmbeddedSelect(stmt);
-  QueryResult out;
-  out.column_names = {"verify"};
-  if (select == nullptr) {
-    out.rows.push_back(
-        {Value::Text("ok: statement has no operator plan to verify")});
-    return out;
+  // DDL and SET run as direct calls, with no operator tree to walk.
+  if (!HasPlan(stmt)) {
+    return TextRows("verify", {"ok: statement has no operator plan to verify"});
   }
   Planner planner = MakePlanner();
   // Plan with translation validation armed and collecting (violations are
@@ -789,33 +679,25 @@ Result<QueryResult> Database::RunExplainVerify(const sql::Statement& stmt) {
   planner.set_validation_log(&vlog);
   const bool saved_verify_rewrites = config_.verify_rewrites;
   config_.verify_rewrites = true;
-  Result<exec::OperatorPtr> planned = planner.PlanSelect(*select);
+  Result<exec::OperatorPtr> planned = planner.PlanStatement(stmt);
   config_.verify_rewrites = saved_verify_rewrites;
   if (!planned.ok()) return planned.status();
-  exec::OperatorPtr plan = std::move(*planned);
   size_t checks = 0;
-  const std::vector<lint::Diagnostic> diags = lint::VerifyPlan(*plan, &checks);
-  if (diags.empty()) {
-    out.rows.push_back({Value::Text(
-        StrFormat("ok: %zu invariant checks, 0 violations", checks))});
-  } else {
-    for (const lint::Diagnostic& d : diags) {
-      out.rows.push_back({Value::Text(lint::FormatDiagnostic(d))});
-    }
-  }
-  if (vlog.diags.empty()) {
-    out.rows.push_back({Value::Text(StrFormat(
-        "ok: %zu rule applications translation-validated (%zu checks), "
-        "0 violations",
-        vlog.applications, vlog.checks))});
-  } else {
-    for (const lint::Diagnostic& d : vlog.diags) {
-      out.rows.push_back({Value::Text(lint::FormatDiagnostic(d))});
-    }
-  }
+  const std::vector<lint::Diagnostic> diags =
+      lint::VerifyPlan(**planned, &checks);
+  std::vector<std::string> lines;
+  AddDiagnosticLines(
+      diags, StrFormat("ok: %zu invariant checks, 0 violations", checks),
+      &lines);
+  AddDiagnosticLines(
+      vlog.diags,
+      StrFormat("ok: %zu rule applications translation-validated (%zu "
+                "checks), 0 violations",
+                vlog.applications, vlog.checks),
+      &lines);
   // Cumulative execution-contract verification counters for this database
   // (the same numbers born_stat_verifier exposes as a queryable view).
-  out.rows.push_back({Value::Text(StrFormat(
+  lines.push_back(StrFormat(
       "chunk verifier (BSV020-025): %s; lifetime: %llu queries verified, "
       "%llu chunks, %llu rows, %llu checks, %llu violations",
       config_.verify_chunks ? "on" : "off",
@@ -823,47 +705,19 @@ Result<QueryResult> Database::RunExplainVerify(const sql::Statement& stmt) {
       static_cast<unsigned long long>(chunk_verifier_totals_.chunks_checked),
       static_cast<unsigned long long>(chunk_verifier_totals_.rows_checked),
       static_cast<unsigned long long>(chunk_verifier_totals_.checks_run),
-      static_cast<unsigned long long>(chunk_verifier_totals_.violations)))});
-  return out;
+      static_cast<unsigned long long>(chunk_verifier_totals_.violations)));
+  return TextRows("verify", std::move(lines));
 }
 
 Result<QueryResult> Database::RunExplainLint(const sql::Statement& stmt) {
-  const std::vector<lint::Diagnostic> diags =
-      lint::LintStatement(stmt, catalog_);
-  QueryResult out;
-  out.column_names = {"lint"};
-  if (diags.empty()) {
-    out.rows.push_back({Value::Text("ok: no lint findings")});
-  } else {
-    for (const lint::Diagnostic& d : diags) {
-      out.rows.push_back({Value::Text(lint::FormatDiagnostic(d))});
-    }
-  }
-  return out;
+  std::vector<std::string> lines;
+  AddDiagnosticLines(lint::LintStatement(stmt, catalog_),
+                     "ok: no lint findings", &lines);
+  return TextRows("lint", std::move(lines));
 }
 
-Result<QueryResult> Database::RunCreateTable(const sql::CreateTableStmt& stmt,
-                                             obs::PlanStatsNode* profile) {
-  if (stmt.as_select != nullptr) {
-    BORNSQL_ASSIGN_OR_RETURN(QueryResult data,
-                             RunSelect(*stmt.as_select, profile));
-    Schema schema;
-    for (const std::string& name : data.column_names) {
-      schema.Add(Column{stmt.table, name, ValueType::kNull});
-    }
-    if (stmt.if_not_exists && catalog_->Exists(stmt.table)) {
-      QueryResult out;
-      return out;
-    }
-    BORNSQL_ASSIGN_OR_RETURN(
-        storage::Table * table,
-        catalog_->CreateTable(stmt.table, std::move(schema), {}, false));
-    for (Row& row : data.rows) table->AppendUnchecked(std::move(row));
-    QueryResult out;
-    out.rows_affected = table->row_count();
-    return out;
-  }
-
+Result<QueryResult> Database::RunCreateTable(
+    const sql::CreateTableStmt& stmt) {
   Schema schema;
   std::vector<size_t> key_columns;
   for (size_t i = 0; i < stmt.columns.size(); ++i) {
@@ -913,242 +767,6 @@ Result<QueryResult> Database::RunCreateIndex(const sql::CreateIndexStmt& stmt) {
   // built against the old version must never be reused.
   catalog_->BumpVersion();
   return QueryResult{};
-}
-
-Status Database::CoerceRow(const storage::Table& table, Row* row) const {
-  const Schema& schema = table.schema();
-  assert(row->size() == schema.size());
-  for (size_t i = 0; i < row->size(); ++i) {
-    ValueType target = schema.column(i).type;
-    if (target == ValueType::kNull) continue;  // dynamic column
-    BORNSQL_ASSIGN_OR_RETURN((*row)[i], (*row)[i].CoerceTo(target));
-  }
-  return Status::OK();
-}
-
-Result<QueryResult> Database::RunInsert(const sql::InsertStmt& stmt,
-                                        obs::PlanStatsNode* profile) {
-  BORNSQL_ASSIGN_OR_RETURN(storage::Table * table,
-                           catalog_->GetTable(stmt.table));
-  const Schema& schema = table->schema();
-
-  // Map provided column names to positions (default: table order).
-  std::vector<size_t> positions;
-  if (stmt.columns.empty()) {
-    for (size_t i = 0; i < schema.size(); ++i) positions.push_back(i);
-  } else {
-    for (const std::string& name : stmt.columns) {
-      size_t idx = schema.FindUnqualified(name);
-      if (idx == Schema::kNpos) {
-        return Status::BindError("column '" + name +
-                                 "' is not a column of '" + stmt.table + "'");
-      }
-      positions.push_back(idx);
-    }
-  }
-
-  // Produce the incoming rows.
-  std::vector<Row> incoming;
-  if (!stmt.values.empty()) {
-    Schema empty;
-    Row no_input;
-    for (const auto& exprs : stmt.values) {
-      if (exprs.size() != positions.size()) {
-        return Status::BindError(
-            StrFormat("INSERT expects %zu values per row, got %zu",
-                      positions.size(), exprs.size()));
-      }
-      Row row(schema.size());
-      for (size_t i = 0; i < exprs.size(); ++i) {
-        sql::ExprPtr folded = sql::CloneExpr(*exprs[i]);
-        Planner planner = MakePlanner();
-        BORNSQL_RETURN_IF_ERROR(planner.FoldSubqueries(folded.get()));
-        BORNSQL_ASSIGN_OR_RETURN(exec::BoundExprPtr bound,
-                                 BindExpr(*folded, empty));
-        BORNSQL_ASSIGN_OR_RETURN(row[positions[i]],
-                                 exec::Eval(*bound, no_input));
-      }
-      incoming.push_back(std::move(row));
-    }
-  } else {
-    // The select's output stays chunked: each inserted row is built exactly
-    // once, remapped into table column order with values moved out of the
-    // buffered columns. (The chunks are fully materialized before any row
-    // is inserted, so a select reading the target table sees its
-    // pre-statement contents.)
-    BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks data,
-                             ExecSelect(*stmt.select, profile));
-    if (data.row_count > 0 && data.schema.size() != positions.size()) {
-      return Status::BindError(
-          StrFormat("INSERT expects %zu columns, SELECT produced %zu",
-                    positions.size(), data.schema.size()));
-    }
-    incoming.reserve(data.row_count);
-    for (exec::DataChunk& chunk : data.chunks) {
-      for (size_t i = 0; i < chunk.size(); ++i) {
-        Row row(schema.size());
-        for (size_t c = 0; c < positions.size(); ++c) {
-          row[positions[c]] = std::move(chunk.column(c)[i]);
-        }
-        incoming.push_back(std::move(row));
-      }
-      chunk.Clear();
-    }
-  }
-  for (Row& row : incoming) {
-    BORNSQL_RETURN_IF_ERROR(CoerceRow(*table, &row));
-  }
-
-  // ON CONFLICT setup.
-  exec::BoundExprPtr noop;
-  std::vector<std::pair<size_t, exec::BoundExprPtr>> conflict_sets;
-  Schema conflict_schema;
-  if (stmt.on_conflict != nullptr) {
-    if (!table->has_unique_key()) {
-      return Status::BindError("ON CONFLICT requires a unique key on '" +
-                               stmt.table + "'");
-    }
-    // The target column set must match the table's unique key.
-    std::vector<size_t> targets;
-    for (const std::string& name : stmt.on_conflict->target_columns) {
-      size_t idx = schema.FindUnqualified(name);
-      if (idx == Schema::kNpos) {
-        return Status::BindError("ON CONFLICT column '" + name +
-                                 "' is not a column of '" + stmt.table + "'");
-      }
-      targets.push_back(idx);
-    }
-    std::vector<size_t> key = table->key_columns();
-    std::sort(targets.begin(), targets.end());
-    std::sort(key.begin(), key.end());
-    if (targets != key) {
-      return Status::BindError(
-          "ON CONFLICT target does not match the table's unique key");
-    }
-    if (!stmt.on_conflict->do_nothing) {
-      // SET expressions see the existing row under the table's name and the
-      // incoming row under 'excluded'.
-      conflict_schema = schema.WithQualifier(stmt.table);
-      for (const Column& c : schema.columns()) {
-        conflict_schema.Add(Column{"excluded", c.name, c.type});
-      }
-      for (const auto& [col, expr] : stmt.on_conflict->set_clauses) {
-        size_t idx = schema.FindUnqualified(col);
-        if (idx == Schema::kNpos) {
-          return Status::BindError("SET column '" + col +
-                                   "' is not a column of '" + stmt.table +
-                                   "'");
-        }
-        BORNSQL_ASSIGN_OR_RETURN(exec::BoundExprPtr bound,
-                                 BindExpr(*expr, conflict_schema));
-        conflict_sets.emplace_back(idx, std::move(bound));
-      }
-    }
-  }
-
-  size_t affected = 0;
-  for (Row& row : incoming) {
-    if (stmt.on_conflict != nullptr && table->has_unique_key()) {
-      size_t existing = table->FindConflict(row);
-      if (existing != storage::Table::kNpos) {
-        if (stmt.on_conflict->do_nothing) continue;
-        // DO UPDATE: evaluate SET expressions over (existing ++ incoming).
-        const Row& old_row = table->rows()[existing];
-        Row combined;
-        combined.reserve(old_row.size() + row.size());
-        combined.insert(combined.end(), old_row.begin(), old_row.end());
-        combined.insert(combined.end(), row.begin(), row.end());
-        Row updated = old_row;
-        for (const auto& [idx, expr] : conflict_sets) {
-          BORNSQL_ASSIGN_OR_RETURN(updated[idx], exec::Eval(*expr, combined));
-        }
-        BORNSQL_RETURN_IF_ERROR(CoerceRow(*table, &updated));
-        BORNSQL_RETURN_IF_ERROR(table->UpdateRow(existing, std::move(updated)));
-        ++affected;
-        continue;
-      }
-    }
-    BORNSQL_RETURN_IF_ERROR(table->Insert(std::move(row)));
-    ++affected;
-  }
-  QueryResult out;
-  out.rows_affected = affected;
-  return out;
-}
-
-Result<QueryResult> Database::RunUpdate(const sql::UpdateStmt& stmt) {
-  BORNSQL_ASSIGN_OR_RETURN(storage::Table * table,
-                           catalog_->GetTable(stmt.table));
-  Schema schema = table->schema().WithQualifier(stmt.table);
-  Planner planner = MakePlanner();
-
-  exec::BoundExprPtr where;
-  if (stmt.where != nullptr) {
-    sql::ExprPtr folded = sql::CloneExpr(*stmt.where);
-    BORNSQL_RETURN_IF_ERROR(planner.FoldSubqueries(folded.get()));
-    BORNSQL_ASSIGN_OR_RETURN(where, BindExpr(*folded, schema));
-  }
-  std::vector<std::pair<size_t, exec::BoundExprPtr>> sets;
-  for (const auto& [col, expr] : stmt.set_clauses) {
-    size_t idx = schema.FindUnqualified(col);
-    if (idx == Schema::kNpos) {
-      return Status::BindError("SET column '" + col +
-                               "' is not a column of '" + stmt.table + "'");
-    }
-    sql::ExprPtr folded = sql::CloneExpr(*expr);
-    BORNSQL_RETURN_IF_ERROR(planner.FoldSubqueries(folded.get()));
-    BORNSQL_ASSIGN_OR_RETURN(exec::BoundExprPtr bound,
-                             BindExpr(*folded, schema));
-    sets.emplace_back(idx, std::move(bound));
-  }
-
-  // Two-phase: evaluate all updates first so row mutation cannot affect
-  // later predicate evaluation.
-  std::vector<std::pair<size_t, Row>> updates;
-  for (size_t i = 0; i < table->rows().size(); ++i) {
-    const Row& row = table->rows()[i];
-    if (where != nullptr) {
-      BORNSQL_ASSIGN_OR_RETURN(Value v, exec::Eval(*where, row));
-      if (v.is_null() || !v.Truthy()) continue;
-    }
-    Row updated = row;
-    for (const auto& [idx, expr] : sets) {
-      BORNSQL_ASSIGN_OR_RETURN(updated[idx], exec::Eval(*expr, row));
-    }
-    BORNSQL_RETURN_IF_ERROR(CoerceRow(*table, &updated));
-    updates.emplace_back(i, std::move(updated));
-  }
-  for (auto& [idx, row] : updates) {
-    BORNSQL_RETURN_IF_ERROR(table->UpdateRow(idx, std::move(row)));
-  }
-  QueryResult out;
-  out.rows_affected = updates.size();
-  return out;
-}
-
-Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
-  BORNSQL_ASSIGN_OR_RETURN(storage::Table * table,
-                           catalog_->GetTable(stmt.table));
-  Schema schema = table->schema().WithQualifier(stmt.table);
-
-  std::vector<bool> flags(table->rows().size(), false);
-  if (stmt.where == nullptr) {
-    flags.assign(table->rows().size(), true);
-  } else {
-    Planner planner = MakePlanner();
-    sql::ExprPtr folded = sql::CloneExpr(*stmt.where);
-    BORNSQL_RETURN_IF_ERROR(planner.FoldSubqueries(folded.get()));
-    BORNSQL_ASSIGN_OR_RETURN(exec::BoundExprPtr where,
-                             BindExpr(*folded, schema));
-    for (size_t i = 0; i < table->rows().size(); ++i) {
-      BORNSQL_ASSIGN_OR_RETURN(Value v,
-                               exec::Eval(*where, table->rows()[i]));
-      flags[i] = !v.is_null() && v.Truthy();
-    }
-  }
-  QueryResult out;
-  out.rows_affected = table->DeleteRows(flags);
-  return out;
 }
 
 }  // namespace bornsql::engine

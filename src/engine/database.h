@@ -127,7 +127,8 @@ class Database {
   uint64_t query_memory_limit() const { return query_mem_limit_; }
   void set_query_memory_limit(uint64_t bytes) { query_mem_limit_ = bytes; }
 
-  // Peak bytes reserved by the most recent SELECT-bearing statement.
+  // Peak bytes reserved by the most recent statement that ran an operator
+  // tree (SELECT, INSERT, UPDATE, DELETE, CREATE TABLE ... AS).
   uint64_t last_query_peak_bytes() const { return last_query_peak_bytes_; }
 
   // Lifetime totals of the execution-contract chunk verifier across every
@@ -225,20 +226,20 @@ class Database {
   Result<QueryResult> ExecuteTracked(sql::StatementKind kind,
                                      StatementContext* ctx,
                                      const StatementBody& body);
-  // The kind switch. A profiled statement other than SELECT reports a
-  // synthetic root node (DescribeRoot) over its embedded SELECT's plan.
+  // The kind switch. A statement that produces or writes rows runs as an
+  // operator tree (RunPlanned); DDL and SET run as direct calls, and a
+  // profiled one reports DescribeRoot's node without stats.
   Result<QueryResult> DispatchStatement(const sql::Statement& stmt,
                                         obs::PlanStatsNode* profile);
 
-  // `profile` non-null requests instrumentation; the annotated plan of the
-  // SELECT is stored there after execution.
-  Result<QueryResult> RunSelect(const sql::SelectStmt& stmt,
-                                obs::PlanStatsNode* profile);
-  // Plans `stmt` (one bind+plan span) and runs it through ExecPlan.
-  Result<exec::MaterializedChunks> ExecSelect(const sql::SelectStmt& stmt,
-                                              obs::PlanStatsNode* profile);
-  // The exec core of every SELECT-bearing statement, cached or not: runs
-  // the operator tree under the query's memory budget and accounts for it
+  // Plans `stmt` (one bind+plan span) and runs it through ExecPlan: SELECT
+  // returns its rows, and a write sink's count becomes rows_affected.
+  // `profile` non-null requests instrumentation; the annotated plan is
+  // stored there after execution.
+  Result<QueryResult> RunPlanned(const sql::Statement& stmt,
+                                 obs::PlanStatsNode* profile);
+  // The exec core of every planned statement, cached or not: runs the
+  // operator tree under the query's memory budget and accounts for it
   // (verifiers, stats, result-buffer charge, peak bytes, metrics, operator
   // spans). Returns the result in its chunked columnar form so consumers
   // build at most one Row per result row.
@@ -246,8 +247,9 @@ class Database {
                                             obs::PlanStatsNode* profile);
   // EXPLAIN [ANALYZE] <stmt>: one text row per plan node, indented by depth.
   Result<QueryResult> RunExplain(const sql::Statement& stmt);
-  // EXPLAIN VERIFY <stmt>: plans the statement's SELECT (if any) and runs
-  // the plan-invariant verifier; one row per violation, or an "ok" row.
+  // EXPLAIN VERIFY <stmt>: plans the statement (when it has an operator
+  // tree) and runs the plan-invariant verifier; one row per violation, or
+  // an "ok" row.
   Result<QueryResult> RunExplainVerify(const sql::Statement& stmt);
   // EXPLAIN LINT <stmt>: static diagnostics from the SQL linter, one row
   // per finding, or an "ok" row.
@@ -255,14 +257,9 @@ class Database {
   // EXPLAIN LOGICAL <stmt>: renders the statement's logical plan before and
   // after the optimizer rule pipeline, one text row per plan line.
   Result<QueryResult> RunExplainLogical(const sql::Statement& stmt);
-  Result<QueryResult> RunCreateTable(const sql::CreateTableStmt& stmt,
-                                     obs::PlanStatsNode* profile);
+  Result<QueryResult> RunCreateTable(const sql::CreateTableStmt& stmt);
   Result<QueryResult> RunDropTable(const sql::DropTableStmt& stmt);
   Result<QueryResult> RunCreateIndex(const sql::CreateIndexStmt& stmt);
-  Result<QueryResult> RunInsert(const sql::InsertStmt& stmt,
-                                obs::PlanStatsNode* profile);
-  Result<QueryResult> RunUpdate(const sql::UpdateStmt& stmt);
-  Result<QueryResult> RunDelete(const sql::DeleteStmt& stmt);
   // SET <name> = <value>: engine settings (born.slow_query_ms, born.trace,
   // born.trace_capacity, born.collect_exec_stats, born.verify_plans, and
   // per-rule optimizer flags born.opt.<rule>).
@@ -276,16 +273,13 @@ class Database {
   // empty when the setting is honored.
   std::string IndexJoinNote() const;
 
-  // Plan tree of `stmt` without executing it (plain EXPLAIN): the SELECT's
-  // plan, or DescribeRoot's node over the embedded SELECT's plan.
+  // Plan tree of `stmt` without executing it (plain EXPLAIN): the operator
+  // tree it would run, bound as execution binds it, or DescribeRoot's node.
   Result<obs::PlanStatsNode> DescribePlan(const sql::Statement& stmt);
-  // Synthetic root node of a statement other than SELECT, with the leaves
-  // that are not operators (INSERT's Values, UPDATE/DELETE's table scan).
-  // Fails when a table the statement needs is missing.
+  // The one node of a statement that runs no operator tree: CREATE TABLE
+  // (without AS), DROP TABLE, CREATE INDEX and SET. Fails when a table the
+  // statement needs is missing.
   Result<obs::PlanStatsNode> DescribeRoot(const sql::Statement& stmt);
-
-  // Coerces `row` cell-wise to the table's declared column types.
-  Status CoerceRow(const storage::Table& table, Row* row) const;
 
   // SystemCatalog facade handed to planners: consults extra_views_ (when
   // set) before the built-in born_stat_* provider.

@@ -98,6 +98,11 @@ class CteGateOp : public Operator {
     ++pos_;
     return true;
   }
+  // Frees the shared buffer; the cell keeps its (now empty) data so the
+  // plan line still reads materialized.
+  void ReleaseImpl() override {
+    if (cell_->data != nullptr) cell_->data->chunks = {};
+  }
 
  private:
   std::shared_ptr<plan::LoweredCte> cell_;

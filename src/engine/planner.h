@@ -1,5 +1,6 @@
-// Planner facade: SELECT AST -> executable operator tree, as a three-stage
-// pipeline with an explicit logical plan in the middle:
+// Planner facade: statement AST -> executable operator tree. A SELECT
+// plans as a three-stage pipeline with an explicit logical plan in the
+// middle:
 //
 //   engine/logical_builder.h   AST -> naive logical tree (name-level only)
 //   engine/optimizer.h         named rewrite rules over the logical tree
@@ -23,6 +24,7 @@
 #include "engine/engine_config.h"
 #include "engine/logical_builder.h"
 #include "exec/operators.h"
+#include "exec/sinks.h"
 #include "obs/optimizer_stats.h"
 #include "obs/trace.h"
 #include "plan/logical_plan.h"
@@ -55,12 +57,12 @@ class Planner {
   // not be mutated while the tree runs.
   Result<exec::OperatorPtr> PlanSelect(const sql::SelectStmt& stmt);
 
-  // Evaluates every uncorrelated subquery inside `expr` and folds the
-  // result into the tree: scalar subqueries become literals, EXISTS becomes
-  // a boolean, IN (SELECT ...) becomes a hashed constant set. Correlated
-  // subqueries fail with BindError when the inner plan cannot resolve a
-  // column.
-  Status FoldSubqueries(sql::Expr* expr);
+  // The operator tree of a statement that produces or writes rows: a
+  // SELECT's, or a write sink (exec/sinks.h) at the root of INSERT, UPDATE,
+  // DELETE and CREATE TABLE ... AS. Everything it names binds here, so
+  // plain EXPLAIN fails as execution does. DML expressions bind against
+  // the table with subqueries folded; no optimizer rule runs on them.
+  Result<exec::OperatorPtr> PlanStatement(const sql::Statement& stmt);
 
   // ---- individual pipeline stages ----
 
@@ -85,6 +87,19 @@ class Planner {
   // bodies get the rule pipeline; the execute hook always runs full
   // optimize + lower (plan-time subquery results must match execution).
   LogicalBuildHooks MakeHooks(bool optimize);
+  // Fills `spec` and plans the rows an INSERT writes.
+  Status PlanInsert(const sql::InsertStmt& stmt, exec::WriteSpec* spec,
+                    exec::OperatorPtr* rows);
+  // Binds SET clauses against spec->set_input into spec->sets.
+  Status BindSets(
+      const std::vector<std::pair<std::string, sql::ExprPtr>>& clauses,
+      exec::WriteSpec* spec);
+  // Binds `expr` against `schema` after evaluating every uncorrelated
+  // subquery in it and folding the result into the tree: scalar subqueries
+  // become literals, EXISTS a boolean, IN (SELECT ...) a hashed constant
+  // set. Correlated subqueries fail with BindError.
+  Result<exec::BoundExprPtr> BindFolded(const sql::Expr& expr,
+                                        const Schema& schema);
 
   catalog::Catalog* catalog_;
   const EngineConfig* config_;

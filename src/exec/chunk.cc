@@ -7,12 +7,6 @@
 
 namespace bornsql::exec {
 
-void DataChunk::AppendRow(const Row& row) {
-  assert(row.size() == cols_.size());
-  for (size_t c = 0; c < cols_.size(); ++c) cols_[c].push_back(row[c]);
-  ++size_;
-}
-
 void DataChunk::AppendRow(Row&& row) {
   assert(row.size() == cols_.size());
   for (size_t c = 0; c < cols_.size(); ++c) {
@@ -99,19 +93,6 @@ void DataChunk::AppendConcat(const DataChunk& a, size_t ai, const Row* b,
     for (size_t j = 0; j < b_width; ++j) cols_[c + j].push_back((*b)[j]);
   } else {
     for (size_t j = 0; j < b_width; ++j) cols_[c + j].push_back(Value::Null());
-  }
-  ++size_;
-}
-
-void DataChunk::AppendConcat(const DataChunk& a, size_t ai, const DataChunk& b,
-                             size_t bi) {
-  assert(cols_.size() == a.column_count() + b.column_count());
-  assert(ai < a.size());
-  assert(bi < b.size());
-  size_t c = 0;
-  for (; c < a.column_count(); ++c) cols_[c].push_back(a.cols_[c][ai]);
-  for (size_t j = 0; j < b.column_count(); ++j) {
-    cols_[c + j].push_back(b.cols_[j][bi]);
   }
   ++size_;
 }

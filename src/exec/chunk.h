@@ -59,7 +59,6 @@ class DataChunk {
 
   // Row-at-a-time bridges, used by operators whose algorithm is inherently
   // row-wise (sort-merge join stepping, hash-table inserts).
-  void AppendRow(const Row& row);
   void AppendRow(Row&& row);  // moves the cell values
   // Copies row `i` out as a Row.
   Row MaterializeRow(size_t i) const;
@@ -85,10 +84,6 @@ class DataChunk {
   // have a.column_count() + b_width columns.
   void AppendConcat(const DataChunk& a, size_t ai, const Row* b,
                     size_t b_width);
-  // Chunk x chunk variant: row `ai` of `a` ++ row `bi` of `b` (hash join
-  // probe emission against a columnar build side).
-  void AppendConcat(const DataChunk& a, size_t ai, const DataChunk& b,
-                    size_t bi);
   // Mirror image for joins whose build side comes first in the output:
   // `a` ++ chunk row `bi` of `b`.
   void AppendConcat(const Row& a, const DataChunk& b, size_t bi);

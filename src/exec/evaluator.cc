@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <numeric>
 
 #include "common/strings.h"
 
@@ -41,6 +42,14 @@ constexpr FuncSpec kFuncs[] = {
     {"replace", ScalarFunc::kReplace, 3, 3},
     {"instr", ScalarFunc::kInstr, 2, 2},
 };
+
+// The name a function's type error reports: its first spelling.
+const char* FuncName(ScalarFunc func) {
+  for (const FuncSpec& spec : kFuncs) {
+    if (spec.func == func) return spec.name;
+  }
+  return "function";
+}
 
 Status TypeError(const char* op, const Value& v) {
   return Status::ExecutionError(StrFormat(
@@ -131,7 +140,6 @@ Result<Value> EvalComparison(BoundBinaryOp op, const Value& a,
 }
 
 // Applies a non-COALESCE scalar function to already-evaluated arguments.
-// Shared by the row-wise and columnar evaluators.
 Result<Value> ApplyCall(const BoundExpr& e, const std::vector<Value>& args) {
   auto null_in = [&](size_t upto) {
     for (size_t i = 0; i < upto && i < args.size(); ++i) {
@@ -140,6 +148,57 @@ Result<Value> ApplyCall(const BoundExpr& e, const std::vector<Value>& args) {
     return false;
   };
   switch (e.func) {
+    case ScalarFunc::kLn:
+    case ScalarFunc::kLog10:
+    case ScalarFunc::kExp:
+    case ScalarFunc::kSqrt:
+    case ScalarFunc::kAbs:
+    case ScalarFunc::kFloor:
+    case ScalarFunc::kCeil:
+    case ScalarFunc::kSign: {
+      if (null_in(1)) return Value::Null();
+      if (!args[0].is_numeric()) return TypeError(FuncName(e.func), args[0]);
+      const double x = args[0].AsDouble();
+      switch (e.func) {
+        case ScalarFunc::kLn:
+          return x <= 0.0 ? Value::Null() : Value::Double(std::log(x));
+        case ScalarFunc::kLog10:
+          return x <= 0.0 ? Value::Null() : Value::Double(std::log10(x));
+        case ScalarFunc::kExp:
+          return DoubleOrNull(std::exp(x));
+        case ScalarFunc::kSqrt:
+          return x < 0.0 ? Value::Null() : Value::Double(std::sqrt(x));
+        case ScalarFunc::kAbs:
+          return args[0].is_int() ? Value::Int(std::llabs(args[0].AsInt()))
+                                  : Value::Double(std::fabs(x));
+        case ScalarFunc::kFloor:
+          return Value::Int(static_cast<int64_t>(std::floor(x)));
+        case ScalarFunc::kCeil:
+          return Value::Int(static_cast<int64_t>(std::ceil(x)));
+        default:  // kSign
+          return Value::Int(x > 0 ? 1 : (x < 0 ? -1 : 0));
+      }
+    }
+    case ScalarFunc::kLower:
+    case ScalarFunc::kUpper:
+    case ScalarFunc::kLength:
+    case ScalarFunc::kTrim: {
+      if (null_in(1)) return Value::Null();
+      if (!args[0].is_text()) return TypeError(FuncName(e.func), args[0]);
+      const std::string& text = args[0].AsText();
+      if (e.func == ScalarFunc::kLength) {
+        return Value::Int(static_cast<int64_t>(text.size()));
+      }
+      if (e.func == ScalarFunc::kTrim) {
+        return Value::Text(std::string(StripWhitespace(text)));
+      }
+      if (e.func == ScalarFunc::kLower) return Value::Text(AsciiToLower(text));
+      std::string upper = text;
+      for (char& c : upper) {
+        if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+      }
+      return Value::Text(std::move(upper));
+    }
     case ScalarFunc::kPow: {
       if (null_in(2)) return Value::Null();
       if (!args[0].is_numeric() || !args[1].is_numeric()) {
@@ -147,75 +206,12 @@ Result<Value> ApplyCall(const BoundExpr& e, const std::vector<Value>& args) {
       }
       return DoubleOrNull(std::pow(args[0].AsDouble(), args[1].AsDouble()));
     }
-    case ScalarFunc::kLn: {
-      if (null_in(1)) return Value::Null();
-      if (!args[0].is_numeric()) return TypeError("ln", args[0]);
-      double x = args[0].AsDouble();
-      if (x <= 0.0) return Value::Null();
-      return Value::Double(std::log(x));
-    }
-    case ScalarFunc::kLog10: {
-      if (null_in(1)) return Value::Null();
-      if (!args[0].is_numeric()) return TypeError("log", args[0]);
-      double x = args[0].AsDouble();
-      if (x <= 0.0) return Value::Null();
-      return Value::Double(std::log10(x));
-    }
-    case ScalarFunc::kExp: {
-      if (null_in(1)) return Value::Null();
-      if (!args[0].is_numeric()) return TypeError("exp", args[0]);
-      return DoubleOrNull(std::exp(args[0].AsDouble()));
-    }
-    case ScalarFunc::kSqrt: {
-      if (null_in(1)) return Value::Null();
-      if (!args[0].is_numeric()) return TypeError("sqrt", args[0]);
-      double x = args[0].AsDouble();
-      if (x < 0.0) return Value::Null();
-      return Value::Double(std::sqrt(x));
-    }
-    case ScalarFunc::kAbs: {
-      if (null_in(1)) return Value::Null();
-      if (args[0].is_int()) return Value::Int(std::llabs(args[0].AsInt()));
-      if (args[0].is_double()) {
-        return Value::Double(std::fabs(args[0].AsDouble()));
-      }
-      return TypeError("abs", args[0]);
-    }
     case ScalarFunc::kRound: {
       if (null_in(args.size())) return Value::Null();
       if (!args[0].is_numeric()) return TypeError("round", args[0]);
       double digits = args.size() > 1 ? args[1].AsDouble() : 0.0;
       double scale = std::pow(10.0, digits);
       return DoubleOrNull(std::round(args[0].AsDouble() * scale) / scale);
-    }
-    case ScalarFunc::kFloor: {
-      if (null_in(1)) return Value::Null();
-      if (!args[0].is_numeric()) return TypeError("floor", args[0]);
-      return Value::Int(static_cast<int64_t>(std::floor(args[0].AsDouble())));
-    }
-    case ScalarFunc::kCeil: {
-      if (null_in(1)) return Value::Null();
-      if (!args[0].is_numeric()) return TypeError("ceil", args[0]);
-      return Value::Int(static_cast<int64_t>(std::ceil(args[0].AsDouble())));
-    }
-    case ScalarFunc::kLower: {
-      if (null_in(1)) return Value::Null();
-      if (!args[0].is_text()) return TypeError("lower", args[0]);
-      return Value::Text(AsciiToLower(args[0].AsText()));
-    }
-    case ScalarFunc::kUpper: {
-      if (null_in(1)) return Value::Null();
-      if (!args[0].is_text()) return TypeError("upper", args[0]);
-      std::string s = args[0].AsText();
-      for (char& c : s) {
-        if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
-      }
-      return Value::Text(std::move(s));
-    }
-    case ScalarFunc::kLength: {
-      if (null_in(1)) return Value::Null();
-      if (!args[0].is_text()) return TypeError("length", args[0]);
-      return Value::Int(static_cast<int64_t>(args[0].AsText().size()));
     }
     case ScalarFunc::kSubstr: {
       if (null_in(args.size())) return Value::Null();
@@ -268,18 +264,6 @@ Result<Value> ApplyCall(const BoundExpr& e, const std::vector<Value>& args) {
     }
     case ScalarFunc::kMod:
       return EvalArith(BoundBinaryOp::kMod, args[0], args[1]);
-    case ScalarFunc::kSign: {
-      if (null_in(1)) return Value::Null();
-      if (!args[0].is_numeric()) return TypeError("sign", args[0]);
-      double x = args[0].AsDouble();
-      return Value::Int(x > 0 ? 1 : (x < 0 ? -1 : 0));
-    }
-    case ScalarFunc::kTrim: {
-      if (null_in(1)) return Value::Null();
-      if (!args[0].is_text()) return TypeError("trim", args[0]);
-      std::string_view s = StripWhitespace(args[0].AsText());
-      return Value::Text(std::string(s));
-    }
     case ScalarFunc::kReplace: {
       if (null_in(3)) return Value::Null();
       if (!args[0].is_text() || !args[1].is_text() || !args[2].is_text()) {
@@ -318,27 +302,8 @@ Result<Value> ApplyCall(const BoundExpr& e, const std::vector<Value>& args) {
   return Status::Internal("bad scalar function");
 }
 
-Result<Value> EvalCall(const BoundExpr& e, const Row& row) {
-  // COALESCE short-circuits before evaluating all args.
-  if (e.func == ScalarFunc::kCoalesce) {
-    for (const auto& arg : e.children) {
-      BORNSQL_ASSIGN_OR_RETURN(Value v, Eval(*arg, row));
-      if (!v.is_null()) return v;
-    }
-    return Value::Null();
-  }
-  std::vector<Value> args;
-  args.reserve(e.children.size());
-  for (const auto& arg : e.children) {
-    BORNSQL_ASSIGN_OR_RETURN(Value v, Eval(*arg, row));
-    args.push_back(std::move(v));
-  }
-  return ApplyCall(e, args);
-}
-
-// Non-logical binary operators over already-evaluated operands. Shared by
-// the row-wise and columnar evaluators; AND/OR stay with the callers (their
-// laziness is what distinguishes the two paths).
+// Non-logical binary operators over already-evaluated operands; AND/OR
+// stay with the caller, which evaluates them lazily.
 Result<Value> EvalBinaryKernel(BoundBinaryOp op, const Value& a,
                                const Value& b) {
   switch (op) {
@@ -449,95 +414,59 @@ bool IsConstExpr(const BoundExpr& e) {
   return true;
 }
 
-Result<Value> Eval(const BoundExpr& e, const Row& row) {
-  switch (e.kind) {
-    case BoundKind::kLiteral:
-      return e.literal;
-    case BoundKind::kParameter:
-      return Status::Internal(StrFormat(
-          "parameter $%zu evaluated without substitution", e.column_index));
-    case BoundKind::kColumn:
-      if (e.column_index >= row.size()) {
-        return Status::Internal(
-            StrFormat("column index %zu out of range (row has %zu cells)",
-                      e.column_index, row.size()));
-      }
-      return row[e.column_index];
-    case BoundKind::kUnary: {
-      BORNSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.children[0], row));
-      return EvalUnary(e.unary_op, v);
-    }
-    case BoundKind::kBinary: {
-      // AND/OR use three-valued logic with short-circuiting.
-      if (e.binary_op == BoundBinaryOp::kAnd) {
-        BORNSQL_ASSIGN_OR_RETURN(Value a, Eval(*e.children[0], row));
-        if (!a.is_null() && !a.Truthy()) return Value::Bool(false);
-        BORNSQL_ASSIGN_OR_RETURN(Value b, Eval(*e.children[1], row));
-        if (!b.is_null() && !b.Truthy()) return Value::Bool(false);
-        if (a.is_null() || b.is_null()) return Value::Null();
-        return Value::Bool(true);
-      }
-      if (e.binary_op == BoundBinaryOp::kOr) {
-        BORNSQL_ASSIGN_OR_RETURN(Value a, Eval(*e.children[0], row));
-        if (!a.is_null() && a.Truthy()) return Value::Bool(true);
-        BORNSQL_ASSIGN_OR_RETURN(Value b, Eval(*e.children[1], row));
-        if (!b.is_null() && b.Truthy()) return Value::Bool(true);
-        if (a.is_null() || b.is_null()) return Value::Null();
-        return Value::Bool(false);
-      }
-      BORNSQL_ASSIGN_OR_RETURN(Value a, Eval(*e.children[0], row));
-      BORNSQL_ASSIGN_OR_RETURN(Value b, Eval(*e.children[1], row));
-      return EvalBinaryKernel(e.binary_op, a, b);
-    }
-    case BoundKind::kCall:
-      return EvalCall(e, row);
-    case BoundKind::kCase: {
-      size_t n_pairs = (e.children.size() - (e.has_else ? 1 : 0)) / 2;
-      for (size_t i = 0; i < n_pairs; ++i) {
-        BORNSQL_ASSIGN_OR_RETURN(Value cond, Eval(*e.children[2 * i], row));
-        if (!cond.is_null() && cond.Truthy()) {
-          return Eval(*e.children[2 * i + 1], row);
-        }
-      }
-      if (e.has_else) return Eval(*e.children.back(), row);
-      return Value::Null();
-    }
-    case BoundKind::kIsNull: {
-      BORNSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.children[0], row));
-      return Value::Bool(e.negated ? !v.is_null() : v.is_null());
-    }
-    case BoundKind::kInSet: {
-      BORNSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.children[0], row));
-      if (v.is_null()) return Value::Null();
-      if (e.in_set->values.count(v) > 0) return Value::Bool(!e.negated);
-      if (e.in_set->has_null) return Value::Null();
-      return Value::Bool(e.negated);
-    }
-    case BoundKind::kInList: {
-      BORNSQL_ASSIGN_OR_RETURN(Value v, Eval(*e.children[0], row));
-      if (v.is_null()) return Value::Null();
-      bool saw_null = false;
-      for (size_t i = 1; i < e.children.size(); ++i) {
-        BORNSQL_ASSIGN_OR_RETURN(Value item, Eval(*e.children[i], row));
-        if (item.is_null()) {
-          saw_null = true;
-          continue;
-        }
-        if (Value::Compare(v, item) == 0) {
-          return Value::Bool(!e.negated);
-        }
-      }
-      if (saw_null) return Value::Null();
-      return Value::Bool(e.negated);
-    }
+namespace {
+
+// Evaluates `e` for the rows of `chunk` that `sel` lists (every row when
+// `sel` is null), one value per listed row, in order. Only column
+// references read through `sel`; every other node works on the compact
+// vectors its children return.
+Status EvalRows(const BoundExpr& e, const DataChunk& chunk,
+                const SelectionVector* sel, std::vector<Value>* out);
+
+// The lazy step of AND/OR/CASE/COALESCE/IN: evaluates `e` only for the
+// rows at positions *rest (ascending indexes into the `n` rows `sel`
+// lists) and passes each row's position and value to `decide`; the rows it
+// does not decide stay in *rest. While every row is still undecided the
+// evaluation stays a dense one over `sel`.
+template <typename Decide>
+Status Narrow(const BoundExpr& e, const DataChunk& chunk,
+              const SelectionVector* sel, size_t n,
+              std::vector<uint32_t>* rest, Decide decide) {
+  if (rest->empty()) return Status::OK();
+  const bool dense = rest->size() == n;
+  SelectionVector sub;
+  for (size_t j = 0; !dense && j < rest->size(); ++j) {
+    sub.push_back(sel != nullptr ? (*sel)[(*rest)[j]] : (*rest)[j]);
   }
-  return Status::Internal("bad expression kind");
+  std::vector<Value> v;
+  BORNSQL_RETURN_IF_ERROR(EvalRows(e, chunk, dense ? sel : &sub, &v));
+  size_t kept = 0;
+  for (size_t j = 0; j < rest->size(); ++j) {
+    if (!decide((*rest)[j], std::move(v[j]))) (*rest)[kept++] = (*rest)[j];
+  }
+  rest->resize(kept);
+  return Status::OK();
 }
 
-Status EvalChunk(const BoundExpr& e, const DataChunk& chunk,
-                 std::vector<Value>* out) {
-  const size_t n = chunk.size();
+// Evaluates the one child of `e` and maps each of its values through `f`.
+template <typename F>
+Status MapChild(const BoundExpr& e, const DataChunk& chunk,
+                const SelectionVector* sel, std::vector<Value>* out, F f) {
+  std::vector<Value> v;
+  BORNSQL_RETURN_IF_ERROR(EvalRows(*e.children[0], chunk, sel, &v));
+  out->reserve(v.size());
+  for (const Value& x : v) {
+    BORNSQL_ASSIGN_OR_RETURN(Value r, f(x));
+    out->push_back(std::move(r));
+  }
+  return Status::OK();
+}
+
+Status EvalRows(const BoundExpr& e, const DataChunk& chunk,
+                const SelectionVector* sel, std::vector<Value>* out) {
+  const size_t n = sel != nullptr ? sel->size() : chunk.size();
   out->clear();
+  std::vector<uint32_t> rest;  // the undecided rows of a lazy node
   switch (e.kind) {
     case BoundKind::kLiteral:
       out->assign(n, e.literal);
@@ -545,38 +474,52 @@ Status EvalChunk(const BoundExpr& e, const DataChunk& chunk,
     case BoundKind::kParameter:
       return Status::Internal(StrFormat(
           "parameter $%zu evaluated without substitution", e.column_index));
-    case BoundKind::kColumn:
+    case BoundKind::kColumn: {
       if (e.column_index >= chunk.column_count()) {
         return Status::Internal(
             StrFormat("column index %zu out of range (chunk has %zu columns)",
                       e.column_index, chunk.column_count()));
       }
-      *out = chunk.column(e.column_index);
-      return Status::OK();
-    case BoundKind::kUnary: {
-      std::vector<Value> v;
-      BORNSQL_RETURN_IF_ERROR(EvalChunk(*e.children[0], chunk, &v));
-      out->reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        BORNSQL_ASSIGN_OR_RETURN(Value r, EvalUnary(e.unary_op, v[i]));
-        out->push_back(std::move(r));
+      const std::vector<Value>& col = chunk.column(e.column_index);
+      if (sel == nullptr) {
+        *out = col;
+        return Status::OK();
       }
+      out->reserve(n);
+      for (uint32_t i : *sel) out->push_back(col[i]);
       return Status::OK();
     }
+    case BoundKind::kUnary:
+      return MapChild(e, chunk, sel, out, [&](const Value& v) {
+        return EvalUnary(e.unary_op, v);
+      });
     case BoundKind::kBinary: {
       std::vector<Value> a;
+      BORNSQL_RETURN_IF_ERROR(EvalRows(*e.children[0], chunk, sel, &a));
+      if (e.binary_op == BoundBinaryOp::kAnd ||
+          e.binary_op == BoundBinaryOp::kOr) {
+        // A FALSE left side decides AND, a TRUE one OR; the right side
+        // runs for the other rows only.
+        const bool is_and = e.binary_op == BoundBinaryOp::kAnd;
+        *out = std::move(a);
+        for (uint32_t k = 0; k < n; ++k) {
+          Value& v = (*out)[k];
+          if (v.is_null() || v.Truthy() == is_and) {
+            rest.push_back(k);
+          } else {
+            v = Value::Bool(!is_and);
+          }
+        }
+        return Narrow(*e.children[1], chunk, sel, n, &rest,
+                      [&](uint32_t k, Value b) {
+                        Value& v = (*out)[k];
+                        v = is_and ? And3(v, b) : Or3(v, b);
+                        return true;
+                      });
+      }
       std::vector<Value> b;
-      BORNSQL_RETURN_IF_ERROR(EvalChunk(*e.children[0], chunk, &a));
-      BORNSQL_RETURN_IF_ERROR(EvalChunk(*e.children[1], chunk, &b));
+      BORNSQL_RETURN_IF_ERROR(EvalRows(*e.children[1], chunk, sel, &b));
       out->reserve(n);
-      if (e.binary_op == BoundBinaryOp::kAnd) {
-        for (size_t i = 0; i < n; ++i) out->push_back(And3(a[i], b[i]));
-        return Status::OK();
-      }
-      if (e.binary_op == BoundBinaryOp::kOr) {
-        for (size_t i = 0; i < n; ++i) out->push_back(Or3(a[i], b[i]));
-        return Status::OK();
-      }
       for (size_t i = 0; i < n; ++i) {
         BORNSQL_ASSIGN_OR_RETURN(Value r,
                                  EvalBinaryKernel(e.binary_op, a[i], b[i]));
@@ -585,25 +528,28 @@ Status EvalChunk(const BoundExpr& e, const DataChunk& chunk,
       return Status::OK();
     }
     case BoundKind::kCall: {
-      const size_t k = e.children.size();
-      std::vector<std::vector<Value>> argcols(k);
-      for (size_t j = 0; j < k; ++j) {
-        BORNSQL_RETURN_IF_ERROR(EvalChunk(*e.children[j], chunk, &argcols[j]));
-      }
-      out->reserve(n);
       if (e.func == ScalarFunc::kCoalesce) {
-        for (size_t i = 0; i < n; ++i) {
-          Value v = Value::Null();
-          for (size_t j = 0; j < k; ++j) {
-            if (!argcols[j][i].is_null()) {
-              v = argcols[j][i];
-              break;
-            }
-          }
-          out->push_back(std::move(v));
+        // Each argument runs for the rows every earlier one left NULL.
+        out->assign(n, Value::Null());
+        rest.resize(n);
+        std::iota(rest.begin(), rest.end(), 0u);
+        for (const BoundExprPtr& arg : e.children) {
+          BORNSQL_RETURN_IF_ERROR(Narrow(
+              *arg, chunk, sel, n, &rest, [&](uint32_t k, Value v) {
+                if (v.is_null()) return false;
+                (*out)[k] = std::move(v);
+                return true;
+              }));
         }
         return Status::OK();
       }
+      const size_t k = e.children.size();
+      std::vector<std::vector<Value>> argcols(k);
+      for (size_t j = 0; j < k; ++j) {
+        BORNSQL_RETURN_IF_ERROR(
+            EvalRows(*e.children[j], chunk, sel, &argcols[j]));
+      }
+      out->reserve(n);
       std::vector<Value> args(k);
       for (size_t i = 0; i < n; ++i) {
         for (size_t j = 0; j < k; ++j) args[j] = argcols[j][i];
@@ -613,93 +559,68 @@ Status EvalChunk(const BoundExpr& e, const DataChunk& chunk,
       return Status::OK();
     }
     case BoundKind::kCase: {
+      // Each WHEN runs for the rows no earlier WHEN took, each THEN for the
+      // rows its WHEN took, and ELSE for the rows none took.
       const size_t n_pairs = (e.children.size() - (e.has_else ? 1 : 0)) / 2;
-      std::vector<std::vector<Value>> conds(n_pairs);
-      std::vector<std::vector<Value>> branches(n_pairs);
+      out->assign(n, Value::Null());
+      rest.resize(n);
+      std::iota(rest.begin(), rest.end(), 0u);
+      const auto take = [&](uint32_t k, Value v) {
+        (*out)[k] = std::move(v);
+        return true;
+      };
+      std::vector<uint32_t> taken;
       for (size_t p = 0; p < n_pairs; ++p) {
+        BORNSQL_RETURN_IF_ERROR(Narrow(
+            *e.children[2 * p], chunk, sel, n, &rest,
+            [&](uint32_t k, const Value& c) {
+              if (c.is_null() || !c.Truthy()) return false;
+              taken.push_back(k);
+              return true;
+            }));
         BORNSQL_RETURN_IF_ERROR(
-            EvalChunk(*e.children[2 * p], chunk, &conds[p]));
-        BORNSQL_RETURN_IF_ERROR(
-            EvalChunk(*e.children[2 * p + 1], chunk, &branches[p]));
+            Narrow(*e.children[2 * p + 1], chunk, sel, n, &taken, take));
       }
-      std::vector<Value> else_col;
-      if (e.has_else) {
-        BORNSQL_RETURN_IF_ERROR(
-            EvalChunk(*e.children.back(), chunk, &else_col));
-      }
-      out->reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        Value v = e.has_else ? else_col[i] : Value::Null();
-        for (size_t p = 0; p < n_pairs; ++p) {
-          const Value& c = conds[p][i];
-          if (!c.is_null() && c.Truthy()) {
-            v = branches[p][i];
-            break;
-          }
+      if (!e.has_else) return Status::OK();
+      return Narrow(*e.children.back(), chunk, sel, n, &rest, take);
+    }
+    case BoundKind::kIsNull:
+      return MapChild(e, chunk, sel, out, [&](const Value& v) {
+        return Result<Value>(Value::Bool(e.negated != v.is_null()));
+      });
+    case BoundKind::kInSet:
+      return MapChild(e, chunk, sel, out, [&](const Value& v) {
+        if (v.is_null()) return Result<Value>(Value::Null());
+        if (e.in_set->values.count(v) > 0) {
+          return Result<Value>(Value::Bool(!e.negated));
         }
-        out->push_back(std::move(v));
-      }
-      return Status::OK();
-    }
-    case BoundKind::kIsNull: {
-      std::vector<Value> v;
-      BORNSQL_RETURN_IF_ERROR(EvalChunk(*e.children[0], chunk, &v));
-      out->reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        out->push_back(
-            Value::Bool(e.negated ? !v[i].is_null() : v[i].is_null()));
-      }
-      return Status::OK();
-    }
-    case BoundKind::kInSet: {
-      std::vector<Value> v;
-      BORNSQL_RETURN_IF_ERROR(EvalChunk(*e.children[0], chunk, &v));
-      out->reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (v[i].is_null()) {
-          out->push_back(Value::Null());
-        } else if (e.in_set->values.count(v[i]) > 0) {
-          out->push_back(Value::Bool(!e.negated));
-        } else if (e.in_set->has_null) {
-          out->push_back(Value::Null());
-        } else {
-          out->push_back(Value::Bool(e.negated));
-        }
-      }
-      return Status::OK();
-    }
+        if (e.in_set->has_null) return Result<Value>(Value::Null());
+        return Result<Value>(Value::Bool(e.negated));
+      });
     case BoundKind::kInList: {
-      std::vector<std::vector<Value>> cols(e.children.size());
-      for (size_t j = 0; j < e.children.size(); ++j) {
-        BORNSQL_RETURN_IF_ERROR(EvalChunk(*e.children[j], chunk, &cols[j]));
-      }
-      out->reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = cols[0][i];
-        if (v.is_null()) {
-          out->push_back(Value::Null());
-          continue;
-        }
-        bool saw_null = false;
-        bool hit = false;
-        for (size_t j = 1; j < cols.size(); ++j) {
-          const Value& item = cols[j][i];
-          if (item.is_null()) {
-            saw_null = true;
-            continue;
-          }
-          if (Value::Compare(v, item) == 0) {
-            hit = true;
-            break;
-          }
-        }
-        if (hit) {
-          out->push_back(Value::Bool(!e.negated));
-        } else if (saw_null) {
-          out->push_back(Value::Null());
+      // A NULL subject decides its row before any item runs; each item
+      // runs for the rows no earlier item matched.
+      std::vector<Value> subject;
+      BORNSQL_RETURN_IF_ERROR(EvalRows(*e.children[0], chunk, sel, &subject));
+      out->assign(n, Value::Bool(e.negated));
+      for (uint32_t k = 0; k < n; ++k) {
+        if (subject[k].is_null()) {
+          (*out)[k] = Value::Null();
         } else {
-          out->push_back(Value::Bool(e.negated));
+          rest.push_back(k);
         }
+      }
+      for (size_t j = 1; j < e.children.size(); ++j) {
+        BORNSQL_RETURN_IF_ERROR(Narrow(
+            *e.children[j], chunk, sel, n, &rest, [&](uint32_t k, Value v) {
+              if (v.is_null()) {
+                (*out)[k] = Value::Null();  // unless a later item matches
+                return false;
+              }
+              if (Value::Compare(subject[k], v) != 0) return false;
+              (*out)[k] = Value::Bool(!e.negated);
+              return true;
+            }));
       }
       return Status::OK();
     }
@@ -707,22 +628,21 @@ Status EvalChunk(const BoundExpr& e, const DataChunk& chunk,
   return Status::Internal("bad expression kind");
 }
 
-Status EvalChunkChecked(const BoundExpr& e, const DataChunk& chunk,
-                        std::vector<Value>* out) {
-  Status s = EvalChunk(e, chunk, out);
-  if (s.ok()) return s;
-  // The vectorized pass errored. That error may come from a subexpression
-  // row-wise evaluation would never reach (a guarded CASE branch, a
-  // short-circuited AND/OR side, a COALESCE tail), so re-evaluate row by
-  // row: rows whose error is real re-raise it, masked ones succeed.
-  out->clear();
-  out->reserve(chunk.size());
-  for (size_t i = 0; i < chunk.size(); ++i) {
-    const Row row = chunk.MaterializeRow(i);
-    BORNSQL_ASSIGN_OR_RETURN(Value v, Eval(e, row));
-    out->push_back(std::move(v));
+}  // namespace
+
+Status EvalChunk(const BoundExpr& e, const DataChunk& chunk,
+                 std::vector<Value>* out) {
+  Status s = EvalRows(e, chunk, nullptr, out);
+  if (s.ok() || chunk.size() <= 1) return s;
+  // Column-at-a-time order can meet a later row's error before an earlier
+  // row's. On this error path only, re-run the rows one at a time so the
+  // first failing row reports, as row-at-a-time execution would.
+  SelectionVector one(1);
+  for (uint32_t i = 0; i < chunk.size(); ++i) {
+    one[0] = i;
+    BORNSQL_RETURN_IF_ERROR(EvalRows(e, chunk, &one, out));
   }
-  return Status::OK();
+  return s;
 }
 
 Result<const std::vector<Value>*> EvalChunkRef(const BoundExpr& e,
@@ -736,7 +656,7 @@ Result<const std::vector<Value>*> EvalChunkRef(const BoundExpr& e,
     }
     return &chunk.column(e.column_index);
   }
-  BORNSQL_RETURN_IF_ERROR(EvalChunkChecked(e, chunk, scratch));
+  BORNSQL_RETURN_IF_ERROR(EvalChunk(e, chunk, scratch));
   return scratch;
 }
 

@@ -107,30 +107,17 @@ struct BoundExpr {
 BoundExprPtr BoundLiteral(Value v);
 BoundExprPtr BoundColumn(size_t index);
 
-// Evaluates `expr` against `row`. Errors only on genuinely malformed input
-// (e.g. arithmetic on text); NULLs propagate as values.
-Result<Value> Eval(const BoundExpr& expr, const Row& row);
-
-// Columnar evaluation: computes `expr` for every row of `chunk`, writing
+// The one evaluator: computes `expr` for every row of `chunk`, writing
 // exactly chunk.size() values into *out (cleared first). Column references
-// index into the chunk's columns. Results are identical to row-wise Eval()
-// with one exception: subexpressions that row-wise evaluation lazily skips
-// (AND/OR right-hand sides, untaken CASE branches, COALESCE tails) are
-// evaluated eagerly here, so an error in a skipped branch surfaces instead
-// of being masked. Use EvalChunkChecked for exact row-wise semantics.
+// index into the chunk's columns; a constant evaluates over a 1-row chunk
+// with no columns. AND, OR, CASE, COALESCE and IN-lists evaluate a later
+// operand only for the rows earlier operands left undecided, so only rows
+// that row-at-a-time execution fails can fail. On an error the rows re-run
+// one at a time and the first failing row reports, whatever the chunk size.
 Status EvalChunk(const BoundExpr& expr, const DataChunk& chunk,
                  std::vector<Value>* out);
 
-// EvalChunk with the row-wise error contract restored: on any vectorized
-// error the chunk is re-evaluated row by row with Eval(), so errors that
-// tuple-at-a-time execution would short-circuit past do not surface, and
-// genuinely failing rows report the same error either way. This is what
-// operators call; the chunked engine must be observationally equivalent to
-// born.vector_size=1 (the differential fuzzer's vector1 lane enforces it).
-Status EvalChunkChecked(const BoundExpr& expr, const DataChunk& chunk,
-                        std::vector<Value>* out);
-
-// EvalChunkChecked without the output copy for bare column references: a
+// EvalChunk without the output copy for bare column references: a
 // kColumn expression returns a pointer to the chunk's own column; anything
 // else evaluates into *scratch and returns scratch. The pointer is valid
 // only while both `chunk` and `scratch` live and are not mutated.
@@ -142,7 +129,7 @@ Result<const std::vector<Value>*> EvalChunkRef(const BoundExpr& expr,
 bool LikeMatch(const std::string& text, const std::string& pattern);
 
 // True if the expression tree contains no kColumn nodes (safe to evaluate
-// against an empty row).
+// over a chunk with no columns).
 bool IsConstExpr(const BoundExpr& expr);
 
 }  // namespace bornsql::exec

@@ -2,36 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <numeric>
 
 namespace bornsql::exec {
 namespace {
 
-// Evaluates `exprs` over `row` into a key row (row-wise path, used where
-// the algorithm is inherently per-row, e.g. window partition keys).
-Result<Row> EvalKey(const std::vector<BoundExprPtr>& exprs, const Row& row) {
-  Row key;
-  key.reserve(exprs.size());
-  for (const auto& e : exprs) {
-    BORNSQL_ASSIGN_OR_RETURN(Value v, Eval(*e, row));
-    key.push_back(std::move(v));
-  }
-  return key;
-}
-
-// Evaluates `exprs` over a whole chunk: cols[k][i] = exprs[k] on row i.
-Status EvalKeyColumns(const std::vector<BoundExprPtr>& exprs,
-                      const DataChunk& chunk,
-                      std::vector<std::vector<Value>>* cols) {
-  cols->resize(exprs.size());
-  for (size_t k = 0; k < exprs.size(); ++k) {
-    BORNSQL_RETURN_IF_ERROR(EvalChunkChecked(*exprs[k], chunk, &(*cols)[k]));
-  }
-  return Status::OK();
-}
-
-// By-reference variant: bare column keys alias the chunk's own columns
-// (no value copies per chunk); computed keys evaluate into the scratch
-// vectors. The refs are valid until `chunk` or `scratch` changes.
+// Evaluates `exprs` over a whole chunk: (*cols[k])[i] = exprs[k] on row i.
+// Bare column keys alias the chunk's own columns (no value copies per
+// chunk); computed keys evaluate into the scratch vectors. The refs are
+// valid until `chunk` or `scratch` changes.
 Status EvalKeyColumns(const std::vector<BoundExprPtr>& exprs,
                       const DataChunk& chunk,
                       std::vector<std::vector<Value>>* scratch,
@@ -46,13 +26,6 @@ Status EvalKeyColumns(const std::vector<BoundExprPtr>& exprs,
 }
 
 // Assembles the key row for chunk row `i` from columnar key vectors.
-Row KeyAt(const std::vector<std::vector<Value>>& cols, size_t i) {
-  Row key;
-  key.reserve(cols.size());
-  for (const auto& c : cols) key.push_back(c[i]);
-  return key;
-}
-
 Row KeyAt(const KeyColumnRefs& cols, size_t i) {
   Row key;
   key.reserve(cols.size());
@@ -91,8 +64,6 @@ Row ConcatRows(const Row& a, const Row& b) {
   out.insert(out.end(), b.begin(), b.end());
   return out;
 }
-
-Row NullRow(size_t n) { return Row(n); }
 
 // Bookkeeping overhead charged per hash-table entry (bucket slot, chaining,
 // index vector) and per aggregate state, on top of ApproxRowBytes.
@@ -216,10 +187,11 @@ Result<bool> Operator::NextInstrumented(DataChunk* out) {
   return more;
 }
 
-void Operator::Close() {
+void Operator::Close(bool release) {
   if (verifier_ != nullptr) verifier_->AfterClose(*this);
+  if (release) ReleaseImpl();
   for (Operator* child : children()) {
-    if (child != nullptr) child->Close();
+    if (child != nullptr) child->Close(release);
   }
 }
 
@@ -241,17 +213,10 @@ void Operator::ReleaseMemory() {
 }
 
 Result<MaterializedResult> Drain(Operator& op) {
+  BORNSQL_ASSIGN_OR_RETURN(MaterializedChunks data, DrainChunks(op));
   MaterializedResult out;
-  out.schema = op.schema();
-  BORNSQL_RETURN_IF_ERROR(op.Open());
-  DataChunk chunk;
-  while (true) {
-    BORNSQL_ASSIGN_OR_RETURN(bool more, op.Next(&chunk));
-    if (!more) break;
-    assert(!chunk.empty());  // operators never emit empty chunks
-    chunk.AppendRowsTo(&out.rows);
-  }
-  op.Close();
+  out.schema = std::move(data.schema);
+  for (const DataChunk& chunk : data.chunks) chunk.AppendRowsTo(&out.rows);
   return out;
 }
 
@@ -287,13 +252,20 @@ bool EmitRowRange(const std::vector<Row>& rows, size_t* pos, size_t width,
 }
 
 Result<bool> SeqScanOp::NextImpl(DataChunk* out) {
-  const size_t width = schema_.size();
-  out->Reset(width);
+  const size_t width = schema_.size() - (row_ids_ ? 1 : 0);
+  out->Reset(schema_.size());
   const size_t total = table_->row_count();
   if (pos_ >= total) return false;
   const size_t n = std::min(vector_size(), total - pos_);
   for (size_t c = 0; c < width; ++c) {
     table_->CopyColumnSlice(c, pos_, n, &out->column(c));
+  }
+  if (row_ids_) {
+    std::vector<Value>& ids = out->column(width);
+    ids.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      ids.push_back(Value::Int(static_cast<int64_t>(pos_ + i)));
+    }
   }
   out->SetCardinality(n);
   pos_ += n;
@@ -338,8 +310,7 @@ Result<bool> ProjectOp::NextImpl(DataChunk* out) {
   // evaluator, and the last reference to an input column steals it.
   for (size_t j = 0; j < exprs_.size(); ++j) {
     if (bare_cols_[j] != kNotBare) continue;
-    BORNSQL_RETURN_IF_ERROR(
-        EvalChunkChecked(*exprs_[j], input_, &out->column(j)));
+    BORNSQL_RETURN_IF_ERROR(EvalChunk(*exprs_[j], input_, &out->column(j)));
   }
   for (size_t j = 0; j < exprs_.size(); ++j) {
     const size_t c = bare_cols_[j];
@@ -526,12 +497,14 @@ Status SortMergeJoinOp::OpenImpl() {
                      std::vector<std::pair<Row, Row>>* dst) -> Status {
     BORNSQL_RETURN_IF_ERROR(op.Open());
     DataChunk chunk;
-    std::vector<std::vector<Value>> key_cols;
+    std::vector<std::vector<Value>> key_scratch;
+    KeyColumnRefs key_cols;
     while (true) {
       auto more = op.Next(&chunk);
       if (!more.ok()) return more.status();
       if (!*more) break;
-      BORNSQL_RETURN_IF_ERROR(EvalKeyColumns(keys, chunk, &key_cols));
+      BORNSQL_RETURN_IF_ERROR(
+          EvalKeyColumns(keys, chunk, &key_scratch, &key_cols));
       for (size_t i = 0; i < chunk.size(); ++i) {
         Row key = KeyAt(key_cols, i);
         Row row = chunk.MaterializeRow(i);
@@ -556,34 +529,26 @@ Result<bool> SortMergeJoinOp::NextRow(Row* out) {
   while (li_ < lrows_.size()) {
     const Row& lkey = lrows_[li_].first;
     if (!in_group_) {
-      if (KeyHasNull(lkey)) {
-        if (type_ == JoinType::kLeft) {
-          *out = ConcatRows(lrows_[li_].second, NullRow(right_->schema().size()));
-          ++li_;
-          return true;
+      const bool null_key = KeyHasNull(lkey);  // NULL keys never match
+      if (!null_key) {
+        // Advance the right cursor to the group of keys equal to lkey.
+        while (rgroup_begin_ < rrows_.size() &&
+               (KeyHasNull(rrows_[rgroup_begin_].first) ||
+                CompareKeys(rrows_[rgroup_begin_].first, lkey) < 0)) {
+          ++rgroup_begin_;
         }
-        ++li_;
-        continue;
-      }
-      // Advance the right cursor to the first key >= lkey.
-      while (rgroup_begin_ < rrows_.size() &&
-             (KeyHasNull(rrows_[rgroup_begin_].first) ||
-              CompareKeys(rrows_[rgroup_begin_].first, lkey) < 0)) {
-        ++rgroup_begin_;
-      }
-      rgroup_end_ = rgroup_begin_;
-      while (rgroup_end_ < rrows_.size() &&
-             CompareKeys(rrows_[rgroup_end_].first, lkey) == 0) {
-        ++rgroup_end_;
-      }
-      if (rgroup_begin_ == rgroup_end_) {  // no match
-        if (type_ == JoinType::kLeft) {
-          *out = ConcatRows(lrows_[li_].second, NullRow(right_->schema().size()));
-          ++li_;
-          return true;
+        rgroup_end_ = rgroup_begin_;
+        while (rgroup_end_ < rrows_.size() &&
+               CompareKeys(rrows_[rgroup_end_].first, lkey) == 0) {
+          ++rgroup_end_;
         }
+      }
+      if (null_key || rgroup_begin_ == rgroup_end_) {  // no match
         ++li_;
-        continue;
+        if (type_ != JoinType::kLeft) continue;
+        *out = ConcatRows(lrows_[li_ - 1].second,
+                          Row(right_->schema().size()));
+        return true;
       }
       in_group_ = true;
       rj_ = rgroup_begin_;
@@ -637,17 +602,10 @@ Status NestedLoopJoinOp::OpenImpl() {
   left_row_ = 0;
   right_pos_ = 0;
   BORNSQL_RETURN_IF_ERROR(left_->Open());
-  BORNSQL_RETURN_IF_ERROR(right_->Open());
-  DataChunk chunk;
-  while (true) {
-    auto more = right_->Next(&chunk);
-    if (!more.ok()) return more.status();
-    if (!*more) break;
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      Row row = chunk.MaterializeRow(i);
-      BORNSQL_RETURN_IF_ERROR(ChargeMemory(obs::ApproxRowBytes(row)));
-      right_rows_.push_back(std::move(row));
-    }
+  BORNSQL_ASSIGN_OR_RETURN(MaterializedResult right, Drain(*right_));
+  right_rows_ = std::move(right.rows);
+  for (const Row& row : right_rows_) {
+    BORNSQL_RETURN_IF_ERROR(ChargeMemory(obs::ApproxRowBytes(row)));
   }
   RecordPeakEntries(right_rows_.size());
   return FlushMemory();
@@ -670,32 +628,39 @@ Result<bool> NestedLoopJoinOp::NextImpl(DataChunk* out) {
         }
         left_row_ = 0;
       }
-      // The row scratch is only needed to evaluate the predicate; the pure
-      // cross product emits straight from the chunk below.
-      if (predicate_ != nullptr) {
-        current_left_ = left_chunk_.MaterializeRow(left_row_);
-      }
       have_left_ = true;
       left_matched_ = false;
       right_pos_ = 0;
     }
-    while (right_pos_ < right_rows_.size()) {
-      if (predicate_ == nullptr) {
-        left_matched_ = true;
-        out->AppendConcat(left_chunk_, left_row_, &right_rows_[right_pos_],
-                          right_width);
-        ++right_pos_;
-        if (out->size() >= vector_size()) return true;
-        continue;
-      }
-      Row combined = ConcatRows(current_left_, right_rows_[right_pos_]);
-      ++right_pos_;
-      BORNSQL_ASSIGN_OR_RETURN(Value v, Eval(*predicate_, combined));
-      if (v.is_null() || !v.Truthy()) continue;
-      left_matched_ = true;
-      out->AppendRow(std::move(combined));
-      if (out->size() >= vector_size()) return true;
+    // This left row's next candidate pairs, as many as `out` has room for;
+    // the predicate evaluates over them at once.
+    const size_t take = std::min(right_rows_.size() - right_pos_,
+                                 vector_size() - out->size());
+    DataChunk* pairs = predicate_ == nullptr ? out : &candidates_;
+    if (predicate_ != nullptr) candidates_.Reset(schema_.size());
+    for (size_t t = 0; t < take; ++t) {
+      pairs->AppendConcat(left_chunk_, left_row_,
+                          &right_rows_[right_pos_ + t], right_width);
     }
+    right_pos_ += take;
+    if (predicate_ == nullptr) {
+      left_matched_ = left_matched_ || take > 0;
+    } else {
+      BORNSQL_ASSIGN_OR_RETURN(
+          const std::vector<Value>* pass,
+          EvalChunkRef(*predicate_, candidates_, &pred_vals_));
+      sel_.clear();
+      for (size_t c = 0; c < take; ++c) {
+        const Value& v = (*pass)[c];
+        if (!v.is_null() && v.Truthy()) {
+          sel_.push_back(static_cast<uint32_t>(c));
+        }
+      }
+      left_matched_ = left_matched_ || !sel_.empty();
+      out->AppendSelectedMoved(candidates_, sel_);
+    }
+    if (out->size() >= vector_size()) return true;
+    if (right_pos_ < right_rows_.size()) continue;
     if (type_ == JoinType::kLeft && !left_matched_) {
       out->AppendConcat(left_chunk_, left_row_, nullptr, right_width);
     }
@@ -747,8 +712,9 @@ Result<bool> IndexJoinOp::NextImpl(DataChunk* out) {
         outer_chunk_.Clear();
         return !out->empty();
       }
-      BORNSQL_RETURN_IF_ERROR(
-          EvalKeyColumns(outer_keys_, outer_chunk_, &outer_key_cols_));
+      BORNSQL_RETURN_IF_ERROR(EvalKeyColumns(outer_keys_, outer_chunk_,
+                                             &outer_key_scratch_,
+                                             &outer_key_cols_));
       outer_row_ = 0;
       BeginOuterRow();
     }
@@ -897,14 +863,15 @@ Status SortOp::OpenImpl() {
   // keys themselves are evaluated columnar, a chunk at a time.
   std::vector<std::pair<Row, Row>> keyed;
   DataChunk chunk;
-  std::vector<std::vector<Value>> key_cols(keys_.size());
+  std::vector<std::vector<Value>> key_scratch(keys_.size());
+  KeyColumnRefs key_cols(keys_.size());
   while (true) {
     auto more = child_->Next(&chunk);
     if (!more.ok()) return more.status();
     if (!*more) break;
     for (size_t k = 0; k < keys_.size(); ++k) {
-      BORNSQL_RETURN_IF_ERROR(
-          EvalChunkChecked(*keys_[k].expr, chunk, &key_cols[k]));
+      BORNSQL_ASSIGN_OR_RETURN(
+          key_cols[k], EvalChunkRef(*keys_[k].expr, chunk, &key_scratch[k]));
     }
     for (size_t i = 0; i < chunk.size(); ++i) {
       Row key = KeyAt(key_cols, i);
@@ -1053,66 +1020,65 @@ Status WindowOp::OpenImpl() {
   ReleaseMemory();
   pos_ = 0;
   BORNSQL_RETURN_IF_ERROR(child_->Open());
-  std::vector<Row> input;
+  // keys[s][k][i]: spec s's partition keys, then its order keys, for input
+  // row i, evaluated column by column for each input chunk.
+  std::vector<std::vector<std::vector<Value>>> keys(specs_.size());
+  for (size_t s = 0; s < specs_.size(); ++s) {
+    keys[s].resize(specs_[s].partition_by.size() + specs_[s].order_by.size());
+  }
   DataChunk chunk;
+  std::vector<Value> col;
   while (true) {
     auto more = child_->Next(&chunk);
     if (!more.ok()) return more.status();
     if (!*more) break;
+    for (size_t s = 0; s < specs_.size(); ++s) {
+      const size_t parts = specs_[s].partition_by.size();
+      for (size_t k = 0; k < keys[s].size(); ++k) {
+        BORNSQL_RETURN_IF_ERROR(EvalChunk(
+            k < parts ? *specs_[s].partition_by[k]
+                      : *specs_[s].order_by[k - parts].expr,
+            chunk, &col));
+        keys[s][k].insert(keys[s][k].end(),
+                          std::make_move_iterator(col.begin()),
+                          std::make_move_iterator(col.end()));
+      }
+    }
     for (size_t i = 0; i < chunk.size(); ++i) {
       Row row = chunk.MaterializeRow(i);
       BORNSQL_RETURN_IF_ERROR(ChargeMemory(
           obs::ApproxRowBytes(row) + specs_.size() * sizeof(Value)));
-      input.push_back(std::move(row));
+      rows_.push_back(std::move(row));
     }
   }
 
-  const size_t n = input.size();
-  std::vector<std::vector<Value>> extra(n);
-
-  for (const WindowSpec& spec : specs_) {
-    // (partition key, order key, original index) triplets.
-    struct Entry {
-      Row part;
-      Row order;
-      size_t idx;
-    };
-    std::vector<Entry> entries;
-    entries.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      Entry e;
-      e.idx = i;
-      auto pk = EvalKey(spec.partition_by, input[i]);
-      if (!pk.ok()) return pk.status();
-      e.part = std::move(*pk);
-      e.order.reserve(spec.order_by.size());
-      for (const SortKey& k : spec.order_by) {
-        auto v = Eval(*k.expr, input[i]);
-        if (!v.ok()) return v.status();
-        e.order.push_back(std::move(*v));
+  for (size_t s = 0; s < specs_.size(); ++s) {
+    const WindowSpec& spec = specs_[s];
+    const std::vector<std::vector<Value>>& key = keys[s];
+    const size_t parts = spec.partition_by.size();
+    // Compares rows a and b on keys [from, to): partition keys ascending,
+    // order keys in their own direction.
+    const auto compare = [&](size_t a, size_t b, size_t from, size_t to) {
+      for (size_t k = from; k < to; ++k) {
+        const int c = Value::Compare(key[k][a], key[k][b]);
+        if (c != 0) return k >= parts && spec.order_by[k - parts].desc ? -c : c;
       }
-      entries.push_back(std::move(e));
-    }
-    std::stable_sort(entries.begin(), entries.end(),
-                     [&spec](const Entry& a, const Entry& b) {
-                       int c = CompareKeys(a.part, b.part);
-                       if (c != 0) return c < 0;
-                       for (size_t i = 0; i < spec.order_by.size(); ++i) {
-                         int oc = Value::Compare(a.order[i], b.order[i]);
-                         if (oc != 0) {
-                           return spec.order_by[i].desc ? oc > 0 : oc < 0;
-                         }
-                       }
-                       return false;
-                     });
+      return 0;
+    };
+    std::vector<size_t> sorted(rows_.size());
+    std::iota(sorted.begin(), sorted.end(), size_t{0});
+    std::stable_sort(sorted.begin(), sorted.end(), [&](size_t a, size_t b) {
+      return compare(a, b, 0, key.size()) < 0;
+    });
     int64_t row_number = 0;  // position within the partition
     int64_t rank = 0;        // RANK: ties share, then gaps
     int64_t dense = 0;       // DENSE_RANK: ties share, no gaps
-    for (size_t i = 0; i < entries.size(); ++i) {
-      bool new_partition =
-          i == 0 || CompareKeys(entries[i].part, entries[i - 1].part) != 0;
-      bool peer = !new_partition &&
-                  CompareKeys(entries[i].order, entries[i - 1].order) == 0;
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      const bool new_partition =
+          i == 0 || compare(sorted[i], sorted[i - 1], 0, parts) != 0;
+      const bool peer =
+          !new_partition &&
+          compare(sorted[i], sorted[i - 1], parts, key.size()) == 0;
       if (new_partition) {
         row_number = 0;
         rank = 0;
@@ -1126,15 +1092,8 @@ Status WindowOp::OpenImpl() {
       int64_t value = row_number;
       if (spec.func == WindowFunc::kRank) value = rank;
       if (spec.func == WindowFunc::kDenseRank) value = dense;
-      extra[entries[i].idx].push_back(Value::Int(value));
+      rows_[sorted[i]].push_back(Value::Int(value));
     }
-  }
-
-  rows_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Row out = std::move(input[i]);
-    for (Value& v : extra[i]) out.push_back(std::move(v));
-    rows_.push_back(std::move(out));
   }
   RecordPeakEntries(rows_.size());
   return FlushMemory();

@@ -169,8 +169,11 @@ class Operator {
   // chunk verifier's BSV024 state machine (and, in the morsel arc, for the
   // scheduler's pipeline teardown). Idempotent; does not release memory —
   // reservations live until destruction, exactly as before, so memory
-  // accounting and its tests are unchanged.
-  void Close();
+  // accounting and its tests are unchanged. With `release`, the subtree's
+  // operators, which will never run again, also free the data they buffer:
+  // a write sink closes its drained input so, tearing down (and timing) a
+  // statement's read side before it writes. Plan lines and stats stay.
+  void Close(bool release = false);
 
   // Turns stats collection on/off for this operator and its whole subtree.
   // Enabling resets any previously collected counters.
@@ -208,6 +211,8 @@ class Operator {
  protected:
   virtual Status OpenImpl() = 0;
   virtual Result<bool> NextImpl(DataChunk* out) = 0;
+  // Close(/*release=*/true)'s part for this operator: frees what it buffers.
+  virtual void ReleaseImpl() {}
 
   // The armed verifier, or null. Operators that compact through a
   // SelectionVector call CheckSelection on it before dereferencing the
@@ -308,13 +313,22 @@ class SingleRowOp : public Operator {
 
 // Scans a base table. `schema` carries the exposed qualifier (alias).
 // Emits column slices of up to vector_size rows straight out of the
-// row store (storage::Table::ScanColumns does the transpose).
+// row store (storage::Table::CopyColumnSlice does the transpose). With
+// `row_ids`, each row also carries its position in the table as a
+// trailing INTEGER column: how UPDATE and DELETE find the rows they write.
+// The plan line shows the table's size when planned: a statement's writes
+// come after its scans.
 class SeqScanOp : public Operator {
  public:
-  SeqScanOp(const storage::Table* table, Schema schema)
-      : table_(table), schema_(std::move(schema)) {}
+  SeqScanOp(const storage::Table* table, Schema schema, bool row_ids = false)
+      : table_(table),
+        schema_(std::move(schema)),
+        row_ids_(row_ids),
+        planned_rows_(table->row_count()) {
+    if (row_ids_) schema_.Add(Column{"", "#row_id", ValueType::kInt});
+  }
   const Schema& schema() const override { return schema_; }
-  std::string DebugString() const override { return StrFormat("SeqScan(%s, %zu rows)", table_->name().c_str(), table_->row_count()); }
+  std::string DebugString() const override { return StrFormat("SeqScan(%s, %zu rows)", table_->name().c_str(), planned_rows_); }
 
  protected:
   Status OpenImpl() override {
@@ -327,6 +341,8 @@ class SeqScanOp : public Operator {
  private:
   const storage::Table* table_;
   Schema schema_;
+  bool row_ids_;
+  size_t planned_rows_;
   size_t pos_ = 0;
 };
 
@@ -356,8 +372,11 @@ class MaterializedScanOp : public Operator {
                         out);
   }
 
- private:
+  // Subclasses that produce their rows at Open() set this before calling
+  // MaterializedScanOp::OpenImpl().
   std::shared_ptr<const MaterializedResult> data_;
+
+ private:
   Schema schema_;
   size_t pos_ = 0;
 };
@@ -366,41 +385,28 @@ class MaterializedScanOp : public Operator {
 // are produced by a generator at Open() time, so each execution observes a
 // fresh snapshot of the engine's introspection state — re-running the query
 // sees updated counters, exactly like pg_stat_statements.
-class SystemViewScanOp : public Operator {
+class SystemViewScanOp : public MaterializedScanOp {
  public:
   using Generator = std::function<Result<MaterializedResult>()>;
 
   SystemViewScanOp(std::string view_name, Generator generator, Schema schema)
-      : view_name_(std::move(view_name)),
-        generator_(std::move(generator)),
-        schema_(std::move(schema)) {}
-  const Schema& schema() const override { return schema_; }
+      : MaterializedScanOp(nullptr, std::move(schema)),
+        view_name_(std::move(view_name)),
+        generator_(std::move(generator)) {}
   std::string DebugString() const override {
     return StrFormat("SystemViewScan(%s)", view_name_.c_str());
   }
 
  protected:
   Status OpenImpl() override {
-    ReleaseMemory();
-    BORNSQL_ASSIGN_OR_RETURN(data_, generator_());
-    pos_ = 0;
-    for (const Row& row : data_.rows) {
-      BORNSQL_RETURN_IF_ERROR(ChargeMemory(obs::ApproxRowBytes(row)));
-    }
-    RecordPeakEntries(data_.rows.size());
-    return FlushMemory();
-  }
-  Result<bool> NextImpl(DataChunk* out) override {
-    return EmitRowRange(data_.rows, &pos_, schema_.size(), vector_size(),
-                        out);
+    BORNSQL_ASSIGN_OR_RETURN(MaterializedResult data, generator_());
+    data_ = std::make_shared<const MaterializedResult>(std::move(data));
+    return MaterializedScanOp::OpenImpl();
   }
 
  private:
   std::string view_name_;
   Generator generator_;
-  Schema schema_;
-  MaterializedResult data_;
-  size_t pos_ = 0;
 };
 
 // Evaluates the predicate over each input chunk as a whole, collects the
@@ -508,6 +514,10 @@ class HashJoinOp : public Operator {
  protected:
   Status OpenImpl() override;
   Result<bool> NextImpl(DataChunk* out) override;
+  void ReleaseImpl() override {
+    build_data_ = DataChunk();
+    build_index_ = {};
+  }
 
  private:
   // An unmatched probe row in a LEFT join: NULL-pad the build columns.
@@ -597,10 +607,10 @@ class SortMergeJoinOp : public Operator {
 };
 
 // Nested-loop join with an optional residual predicate evaluated over the
-// concatenated row. Handles cross joins and non-equi conditions. The left
-// side streams in chunks; the residual predicate stays row-wise (it sees
-// one concatenated left++right row at a time, preserving short-circuit
-// semantics over the cross product).
+// concatenated row. Handles cross joins and non-equi conditions. The right
+// side is materialized and the left side streams in chunks; each left
+// row's (left ++ right) candidate pairs are gathered in order, up to the
+// output chunk's room, and the predicate evaluates over them at once.
 class NestedLoopJoinOp : public Operator {
  public:
   NestedLoopJoinOp(OperatorPtr left, OperatorPtr right, BoundExprPtr predicate,
@@ -629,11 +639,13 @@ class NestedLoopJoinOp : public Operator {
   std::vector<Row> right_rows_;
   DataChunk left_chunk_;
   size_t left_row_ = 0;  // current row within left_chunk_
-  Row current_left_;
   size_t right_pos_ = 0;
   bool have_left_ = false;
   bool left_matched_ = false;
   bool left_done_ = false;  // left input exhausted; never re-pull it
+  DataChunk candidates_;    // (left ++ right) pairs awaiting the predicate
+  std::vector<Value> pred_vals_;
+  SelectionVector sel_;
 };
 
 // Index nested-loop join (inner): streams `outer` in chunks, probing a
@@ -673,7 +685,8 @@ class IndexJoinOp : public Operator {
   Schema schema_;
 
   DataChunk outer_chunk_;  // the outer chunk in flight
-  std::vector<std::vector<Value>> outer_key_cols_;  // its key columns
+  KeyColumnRefs outer_key_cols_;  // its key columns
+  std::vector<std::vector<Value>> outer_key_scratch_;
   size_t outer_row_ = 0;         // cursor within outer_chunk_
   std::vector<size_t> matches_;  // index matches of the outer row
   size_t match_pos_ = 0;         // cursor within matches_

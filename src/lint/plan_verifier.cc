@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "common/strings.h"
+#include "exec/sinks.h"
 
 namespace bornsql::lint {
 namespace {
@@ -245,6 +246,18 @@ class Verifier {
                StrFormat("%s: aggregate produces %zu columns but its schema "
                          "declares %zu",
                          debug.c_str(), expect, width));
+      }
+    }
+    if (const auto* sink = dynamic_cast<const exec::WriteOp*>(&op)) {
+      if (!children.empty()) {
+        ++checks_run_;
+        const size_t child_width = children[0]->schema().size();
+        if (child_width != sink->input_width()) {
+          Report("BSV005",
+                 StrFormat("%s: write sink takes %zu input columns but its "
+                           "input emits %zu",
+                           debug.c_str(), sink->input_width(), child_width));
+        }
       }
     }
     if (const auto* win = dynamic_cast<const exec::WindowOp*>(&op)) {

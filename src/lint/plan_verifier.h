@@ -12,7 +12,8 @@
 //   BSV003  join output width != left width + right width
 //   BSV004  UNION ALL input width != output width
 //   BSV005  projection/aggregate/window output width inconsistent with the
-//           expressions that produce it
+//           expressions that produce it, or a write sink's input width
+//           with the columns it writes
 //   BSV006  equi-join key pair with irreconcilable types (text vs numeric)
 //
 // Debug builds run it on every planned statement (EngineConfig::

@@ -1,6 +1,7 @@
-// Expression evaluation edge cases, driven through parse+bind+eval over a
-// one-row schema so SQL-level semantics (NULL propagation, coercions,
-// three-valued logic) are exercised exactly as the engine sees them.
+// Expression evaluation edge cases, driven through parse+bind+EvalChunk
+// over a one-row chunk so SQL-level semantics (NULL propagation,
+// coercions, three-valued logic) are exercised exactly as the engine sees
+// them.
 #include "exec/evaluator.h"
 
 #include <gtest/gtest.h>
@@ -22,13 +23,17 @@ Result<Value> EvalSql(const std::string& expr_sql) {
   schema.Add(Column{"t", "d", ValueType::kDouble});
   schema.Add(Column{"t", "s", ValueType::kText});
   schema.Add(Column{"t", "z", ValueType::kNull});
-  Row row = {Value::Int(1), Value::Double(2.5), Value::Text("txt"),
-             Value::Null()};
+  DataChunk chunk;
+  chunk.Reset(schema.size());
+  chunk.AppendRow({Value::Int(1), Value::Double(2.5), Value::Text("txt"),
+                   Value::Null()});
   BORNSQL_ASSIGN_OR_RETURN(sql::ExprPtr parsed,
                            sql::ParseExpression(expr_sql));
   BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr bound,
                            engine::BindExpr(*parsed, schema));
-  return Eval(*bound, row);
+  std::vector<Value> out;
+  BORNSQL_RETURN_IF_ERROR(EvalChunk(*bound, chunk, &out));
+  return out[0];
 }
 
 Value MustEval(const std::string& expr_sql) {

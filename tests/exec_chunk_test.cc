@@ -8,12 +8,15 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "engine/binder.h"
 #include "exec/chunk.h"
 #include "exec/evaluator.h"
 #include "exec/operators.h"
+#include "sql/parser.h"
 #include "tests/test_util.h"
 
 namespace bornsql::exec {
@@ -220,6 +223,34 @@ TEST(ExecChunkTest, LeftJoinNullPadsAcrossChunkBoundaries) {
   }
 }
 
+TEST(ExecChunkTest, NestedLoopLeftJoinPredicateKeepsLeftMajorOrder) {
+  // l.a <= r.b over left 0..6 and right {1, 3, 5}: each left row's
+  // candidates span several chunks at small sizes, some pass and some do
+  // not, and left row 6 matches nothing (NULL-padded).
+  std::vector<Row> right = {{Value::Int(1)}, {Value::Int(3)}, {Value::Int(5)}};
+  std::vector<Row> want;
+  for (int l = 0; l < 7; ++l) {
+    bool matched = false;
+    for (const Row& r : right) {
+      if (l > r[0].AsInt()) continue;
+      want.push_back({Value::Int(l), r[0]});
+      matched = true;
+    }
+    if (!matched) want.push_back({Value::Int(l), Value::Null()});
+  }
+  for (size_t vs : kSizes) {
+    auto le = std::make_unique<BoundExpr>();
+    le->kind = BoundKind::kBinary;
+    le->binary_op = BoundBinaryOp::kLtEq;
+    le->children.push_back(BoundColumn(0));
+    le->children.push_back(BoundColumn(1));
+    NestedLoopJoinOp join(Rows(OneCol("l", "a"), IntRows(7)),
+                          Rows(OneCol("r", "b"), right), std::move(le),
+                          JoinType::kLeft);
+    ExpectSameRows(DrainAt(join, vs), want, vs);
+  }
+}
+
 TEST(ExecChunkTest, NestedLoopCrossProductPartialChunks) {
   // 5 x 3 cross product: neither side nor the 15-row output divides evenly
   // by chunk sizes 2 and 3.
@@ -329,13 +360,13 @@ TEST(ExecChunkTest, StatsAreTupleGranularAtEveryVectorSize) {
   }
 }
 
-TEST(ExecChunkTest, EvalChunkCheckedRaisesTheSameErrorAsRowWiseEval) {
+TEST(ExecChunkTest, EvalChunkReportsTheFirstFailingRow) {
   // The row-wise error contract: a mid-chunk type error must surface the
   // SAME status regardless of chunk granularity. Row 5 is the first bad
-  // row ('boom'); row 8 is a later bad row ('later') that vectorized
-  // evaluation also trips over, but EvalChunkChecked's row-by-row replay
-  // must report the FIRST failing row -- exactly what scalar execution
-  // (vector_size=1) reports.
+  // row ('boom'); row 8 is a later bad row ('later') that the chunk also
+  // trips over, but EvalChunk's one-row-at-a-time replay must report the
+  // FIRST failing row -- exactly what scalar execution (vector_size=1)
+  // reports.
   std::vector<Row> rows;
   for (int i = 0; i < 10; ++i) rows.push_back({Value::Int(i)});
   rows[5][0] = Value::Text("boom");
@@ -368,6 +399,83 @@ TEST(ExecChunkTest, EvalChunkCheckedRaisesTheSameErrorAsRowWiseEval) {
       << chunked_status.ToString();
   EXPECT_EQ(chunked_status.ToString().find("'later'"), std::string::npos)
       << chunked_status.ToString();
+}
+
+// Projects the SQL expression `sql` over `rows`, whose columns are named
+// `a` and `b`, at `vector_size`: each row's value rendered, or the error.
+std::vector<std::string> ProjectSql(const std::string& sql, const char* a,
+                                    const char* b, const std::vector<Row>& rows,
+                                    size_t vector_size) {
+  const Schema schema = TwoCols("t", a, b);
+  auto parsed = sql::ParseExpression(sql);
+  EXPECT_TRUE(parsed.ok()) << sql;
+  auto bound = engine::BindExpr(**parsed, schema);
+  EXPECT_TRUE(bound.ok()) << sql;
+  std::vector<BoundExprPtr> exprs;
+  exprs.push_back(std::move(*bound));
+  ProjectOp project(Rows(schema, rows), std::move(exprs), OneCol("", "p"));
+  project.SetVectorSize(vector_size);
+  auto drained = Drain(project);
+  if (!drained.ok()) return {drained.status().ToString()};
+  std::vector<std::string> out;
+  for (const Row& row : drained->rows) out.push_back(row[0].ToString());
+  return out;
+}
+
+const size_t kLazySizes[] = {1, 3, Operator::kDefaultVectorSize};
+
+TEST(ExecChunkTest, LazyOperandsSkipTheRowsTheirGuardDecides) {
+  // v + 1 fails on text; each expression reaches v only where k leaves
+  // the row undecided, which in `guarded` is never a text row. 7 rows make
+  // partial chunks at vector size 3.
+  const Value n = Value::Null();
+  const auto t = [](const char* s) { return Value::Text(s); };
+  const auto i = [](int64_t v) { return Value::Int(v); };
+  const std::vector<Row> guarded = {{i(1), i(5)}, {i(2), t("t")},
+                                    {n, i(7)},    {i(1), i(8)},
+                                    {i(3), t("u")}, {i(1), i(2)},
+                                    {i(2), t("w")}};
+  // IN reaches its second item where k is not 1: text only where k = 1.
+  const std::vector<Row> guarded_in = {{i(1), t("t")}, {i(2), i(5)},
+                                       {n, i(7)},      {i(1), t("u")},
+                                       {i(3), i(0)},   {i(1), t("w")},
+                                       {i(2), i(1)}};
+  struct Case {
+    const char* sql;
+    const std::vector<Row>* rows;
+    std::vector<std::string> want;
+  };
+  const Case cases[] = {
+      {"CASE WHEN k = 1 THEN v + 1 ELSE 0 END", &guarded,
+       {"6", "0", "0", "9", "0", "3", "0"}},
+      {"k = 1 AND v + 1 > 0", &guarded,
+       {"1", "0", "NULL", "1", "0", "1", "0"}},
+      {"k <> 1 OR v + 1 > 0", &guarded, {"1", "1", "1", "1", "1", "1", "1"}},
+      {"COALESCE(k, v + 1)", &guarded, {"1", "2", "8", "1", "3", "1", "2"}},
+      {"1 IN (k, v + 1)", &guarded_in,
+       {"1", "0", "NULL", "1", "1", "1", "0"}},
+  };
+  for (const Case& c : cases) {
+    for (size_t vs : kLazySizes) {
+      EXPECT_EQ(ProjectSql(c.sql, "k", "v", *c.rows, vs), c.want)
+          << c.sql << " at vector_size=" << vs;
+    }
+  }
+}
+
+TEST(ExecChunkTest, ErrorsComeFromTheFirstFailingRowAtEverySize) {
+  // Column-at-a-time order meets ('a', 1)'s error in x + 1 before
+  // (1, 'b')'s in y + 1; row at a time, (1, 'b') fails first.
+  const std::vector<Row> rows = {{Value::Int(1), Value::Int(1)},
+                                 {Value::Int(1), Value::Text("b")},
+                                 {Value::Text("a"), Value::Int(1)}};
+  for (size_t vs : kLazySizes) {
+    const std::vector<std::string> got =
+        ProjectSql("(x + 1) * (y + 1)", "x", "y", rows, vs);
+    ASSERT_EQ(got.size(), 1u) << "vector_size=" << vs;
+    EXPECT_NE(got[0].find("'b'"), std::string::npos)
+        << got[0] << " at vector_size=" << vs;
+  }
 }
 
 TEST(ExecChunkTest, DataChunkAppendHelpers) {

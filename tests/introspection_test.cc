@@ -194,7 +194,7 @@ TEST(StatTablesTest, TracksUsageCounters) {
   ASSERT_EQ(result.rows.size(), 1u);
   EXPECT_EQ(result.rows[0][0].AsInt(), 2);  // a, b
   EXPECT_EQ(result.rows[0][1].AsInt(), 3);  // 4 inserted - 1 deleted
-  EXPECT_EQ(result.rows[0][2].AsInt(), 2);  // UPDATE/DELETE mutate directly
+  EXPECT_EQ(result.rows[0][2].AsInt(), 4);  // UPDATE/DELETE scan too
   EXPECT_EQ(result.rows[0][3].AsInt(), 4);
   EXPECT_EQ(result.rows[0][4].AsInt(), 1);
   EXPECT_EQ(result.rows[0][5].AsInt(), 1);

@@ -151,7 +151,7 @@ TEST(ExplainGoldenTest, AnalyzeInsertSelect) {
   Database db;
   LoadJoinFixture(&db);
   std::vector<std::string> expected = {
-      "Insert(t2)  (actual rows=4 next=0 time=Xms)",
+      "Insert(t2)  (actual rows=1 next=2 time=Xms peak=4 mem=X)",
       "  Project(2 columns)  (actual rows=4 next=5 time=Xms)",
       "    SeqScan(t1, 4 rows)  (actual rows=4 next=5 time=Xms)",
   };
@@ -166,9 +166,10 @@ TEST(ExplainGoldenTest, AnalyzeUpdateReportsRowsExamined) {
   Database db;
   LoadJoinFixture(&db);
   std::vector<std::string> expected = {
-      "Update(t1, 1 set clauses)  (actual rows=2 next=0 time=Xms)",
-      "  Filter",
-      "    SeqScan(t1, 4 rows)  (actual rows=4 next=4 time=Xms)",
+      "Update(t1, 1 set clauses)  "
+      "(actual rows=1 next=2 time=Xms peak=2 mem=X)",
+      "  Filter  (actual rows=2 next=3 time=Xms)",
+      "    SeqScan(t1, 4 rows)  (actual rows=4 next=5 time=Xms)",
   };
   EXPECT_EQ(MaskedPlanLines(
                 db, "EXPLAIN ANALYZE UPDATE t1 SET b = 'q' WHERE a > 2"),
@@ -183,9 +184,9 @@ TEST(ExplainGoldenTest, AnalyzeDelete) {
   Database db;
   LoadJoinFixture(&db);
   std::vector<std::string> expected = {
-      "Delete(t2)  (actual rows=1 next=0 time=Xms)",
-      "  Filter",
-      "    SeqScan(t2, 3 rows)  (actual rows=3 next=3 time=Xms)",
+      "Delete(t2)  (actual rows=1 next=2 time=Xms peak=1 mem=X)",
+      "  Filter  (actual rows=1 next=2 time=Xms)",
+      "    SeqScan(t2, 3 rows)  (actual rows=3 next=4 time=Xms)",
   };
   EXPECT_EQ(MaskedPlanLines(db, "EXPLAIN ANALYZE DELETE FROM t2 WHERE a = 9"),
             expected);

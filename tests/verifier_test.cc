@@ -147,13 +147,36 @@ TEST_F(VerifierEngineTest, ExplainVerifyReportsChecksAndZeroViolations) {
 }
 
 TEST_F(VerifierEngineTest, ExplainVerifyOnStatementWithoutAPlan) {
-  auto r = MustQuery(db_, "EXPLAIN VERIFY DELETE FROM items WHERE n = 1");
+  auto r = MustQuery(db_, "EXPLAIN VERIFY CREATE INDEX items_k ON items (k)");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0][0].AsText(),
             "ok: statement has no operator plan to verify");
   // The statement was only verified, never executed.
-  auto count = MustQuery(db_, "SELECT count(*) FROM items");
-  EXPECT_EQ(count.rows[0][0].AsInt(), 6);
+  const storage::Table* items = *db_.catalog().GetTable("items");
+  EXPECT_EQ(items->FindIndexOn({1}), storage::Table::kNpos);
+}
+
+TEST_F(VerifierEngineTest, ExplainVerifyChecksEveryWriteStatement) {
+  BORNSQL_ASSERT_OK(
+      db_.Execute("CREATE TABLE acc (j TEXT PRIMARY KEY, w REAL)").status());
+  for (const char* sql :
+       {"UPDATE items SET k = k + 1 WHERE n = 1", "DELETE FROM items",
+        "INSERT INTO acc VALUES ('a', 1.0)",
+        "INSERT INTO acc VALUES ('a', 1.0) "
+        "ON CONFLICT (j) DO UPDATE SET w = acc.w + excluded.w"}) {
+    auto r = MustQuery(db_, std::string("EXPLAIN VERIFY ") + sql);
+    ASSERT_EQ(r.rows.size(), 3u) << sql;
+    const std::string& line = r.rows[0][0].AsText();
+    EXPECT_EQ(line.find("ok: "), 0u) << sql << ": " << line;
+    EXPECT_EQ(line.find("ok: 0 invariant checks"), std::string::npos)
+        << sql << ": " << line;
+    EXPECT_NE(line.find(", 0 violations"), std::string::npos)
+        << sql << ": " << line;
+  }
+  // Verified, never executed.
+  EXPECT_EQ(MustQuery(db_, "SELECT count(*) FROM items").rows[0][0].AsInt(),
+            6);
+  EXPECT_EQ(MustQuery(db_, "SELECT count(*) FROM acc").rows[0][0].AsInt(), 0);
 }
 
 TEST_F(VerifierEngineTest, SetBornVerifyPlansTogglesTheConfig) {

@@ -622,6 +622,61 @@ std::string Preview(const std::string& canonical) {
   return canonical.substr(0, kMax) + "...";
 }
 
+// A lane's outcome: whether it succeeded, and its canonical rows or error.
+struct Outcome {
+  bool ok = false;
+  std::string text;
+};
+
+Outcome OutcomeOf(const Result<engine::QueryResult>& result) {
+  if (!result.ok()) return {false, result.status().ToString()};
+  return {true, CanonicalRows(*result)};
+}
+
+// True when lane `name` agrees with the baseline lane `base_name`: the same
+// status and, when both succeed, the same row multiset. Otherwise describes
+// the divergence in *detail (when non-null).
+bool Agrees(const std::string& base_name, const Outcome& base,
+            const std::string& name, const Outcome& got, std::string* detail) {
+  if (got.ok != base.ok) {
+    if (detail != nullptr) {
+      *detail = "status divergence: " + base_name +
+                (base.ok ? " succeeded" : " failed") + " but " + name +
+                (got.ok ? " succeeded" : " failed: " + got.text);
+    }
+    return false;
+  }
+  if (base.ok && got.text != base.text) {
+    if (detail != nullptr) {
+      *detail = "result divergence between " + base_name + " and " + name +
+                "\n--- " + base_name + "\n" + Preview(base.text) + "--- " +
+                name + "\n" + Preview(got.text);
+    }
+    return false;
+  }
+  return true;
+}
+
+// The write lane: `sql`'s rows go through the write sinks into a fresh
+// table fz, once by CREATE TABLE ... AS and once by INSERT ... SELECT, and
+// are read back. fz is dropped either way.
+Result<engine::QueryResult> WriteAndReadBack(engine::Database& db,
+                                             const std::string& sql) {
+  Result<engine::QueryResult> result = [&]() -> Result<engine::QueryResult> {
+    BORNSQL_RETURN_IF_ERROR(db.Execute("CREATE TABLE fz AS " + sql).status());
+    BORNSQL_RETURN_IF_ERROR(db.Execute("INSERT INTO fz " + sql).status());
+    return db.Execute("SELECT * FROM fz");
+  }();
+  Status dropped = db.Execute("DROP TABLE IF EXISTS fz").status();
+  if (!dropped.ok()) return dropped;
+  return result;
+}
+
+bool EndsWith(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
 }  // namespace
 
 DifferentialRunner::DifferentialRunner(size_t vector_size, bool verify_chunks)
@@ -653,63 +708,31 @@ DifferentialRunner::DifferentialRunner(size_t vector_size, bool verify_chunks)
 
 bool DifferentialRunner::Check(const QuerySpec& spec, std::string* detail) {
   const std::string sql = RenderQuery(spec);
-  bool baseline_ok = false;
-  std::string baseline_rows;
-  for (size_t i = 0; i < dbs_.size(); ++i) {
-    Result<engine::QueryResult> result = dbs_[i]->Execute(sql);
-    if (i == 0) {
-      baseline_ok = result.ok();
-      if (baseline_ok) baseline_rows = CanonicalRows(*result);
-      continue;
-    }
-    if (result.ok() != baseline_ok) {
-      if (detail != nullptr) {
-        *detail = "status divergence: " + configs_[0].name +
-                  (baseline_ok ? " succeeded" : " failed") + " but " +
-                  configs_[i].name +
-                  (result.ok()
-                       ? " succeeded"
-                       : " failed: " + result.status().ToString());
-      }
-      return false;
-    }
-    if (!baseline_ok) continue;  // all configurations must keep failing
-    const std::string rows = CanonicalRows(*result);
-    if (rows != baseline_rows) {
-      if (detail != nullptr) {
-        *detail = "result divergence between " + configs_[0].name + " and " +
-                  configs_[i].name + "\n--- " + configs_[0].name + "\n" +
-                  Preview(baseline_rows) + "--- " + configs_[i].name + "\n" +
-                  Preview(rows);
-      }
+  const std::string& base_name = configs_[0].name;
+  const Outcome base = OutcomeOf(dbs_[0]->Execute(sql));
+  for (size_t i = 1; i < dbs_.size(); ++i) {
+    if (!Agrees(base_name, base, configs_[i].name,
+                OutcomeOf(dbs_[i]->Execute(sql)), detail)) {
       return false;
     }
   }
   // Serving lane: run the query twice through the session. The first run
   // misses the plan cache and inserts (auto-parameterized), the second is
   // served from it; both must agree with the baseline.
-  const char* lanes[] = {"serving/uncached", "serving/cached"};
-  for (const char* lane : lanes) {
-    Result<engine::QueryResult> result = session_->Execute(sql);
-    if (result.ok() != baseline_ok) {
-      if (detail != nullptr) {
-        *detail = "status divergence: " + configs_[0].name +
-                  (baseline_ok ? " succeeded" : " failed") + " but " + lane +
-                  (result.ok()
-                       ? " succeeded"
-                       : " failed: " + result.status().ToString());
-      }
+  for (const char* lane : {"serving/uncached", "serving/cached"}) {
+    if (!Agrees(base_name, base, lane, OutcomeOf(session_->Execute(sql)),
+                detail)) {
       return false;
     }
-    if (!baseline_ok) continue;
-    const std::string rows = CanonicalRows(*result);
-    if (rows != baseline_rows) {
-      if (detail != nullptr) {
-        *detail = "result divergence between " + configs_[0].name + " and " +
-                  lane + "\n--- " + configs_[0].name + "\n" +
-                  Preview(baseline_rows) + "--- " + lane + "\n" +
-                  Preview(rows);
-      }
+  }
+  // Write lane: the baseline and the vector1 lanes write the query's rows
+  // through CREATE TABLE ... AS and INSERT ... SELECT, and must read back
+  // the same table.
+  const Outcome written = OutcomeOf(WriteAndReadBack(*dbs_[0], sql));
+  for (size_t i = 1; i < dbs_.size(); ++i) {
+    if (!EndsWith(configs_[i].name, "/vector1")) continue;
+    if (!Agrees(base_name + "/write", written, configs_[i].name + "/write",
+                OutcomeOf(WriteAndReadBack(*dbs_[i], sql)), detail)) {
       return false;
     }
   }

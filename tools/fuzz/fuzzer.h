@@ -23,6 +23,11 @@
 // from it. Both must agree with the baseline, so every fuzz query also
 // exercises cached-vs-uncached equivalence.
 //
+// A write lane then feeds each query through the write sinks: under the
+// baseline and each vector1 configuration it runs CREATE TABLE fz AS <q>,
+// INSERT INTO fz <q> and SELECT * FROM fz, then drops fz. The tables read
+// back must agree as the SELECT lanes do.
+//
 // The grammar deliberately stays inside deterministic SQL: SUM/AVG only
 // over INTEGER columns (int64 accumulation is exact and order-independent;
 // double accumulation is not), no window functions, no LIMIT (row choice
@@ -106,15 +111,17 @@ std::vector<FuzzConfig> AllConfigs(size_t vector_size = 0,
 
 // Executes queries across every configuration and compares result
 // multisets. Databases are created and the fixture loaded once, at
-// construction; generated queries are read-only.
+// construction; generated queries are read-only, and the write lane drops
+// the one table it writes.
 class DifferentialRunner {
  public:
   // `vector_size` and `verify_chunks` as in AllConfigs.
   explicit DifferentialRunner(size_t vector_size = 0,
                               bool verify_chunks = false);
 
-  // Runs `spec` under every configuration. Returns true when all agree
-  // (same sorted result multiset, or an error under every configuration).
+  // Runs `spec` under every configuration, then the write lane. Returns
+  // true when all agree (same sorted result multiset, or an error under
+  // every configuration).
   // On divergence fills `*detail` with the disagreeing configurations and
   // a summary of both results.
   bool Check(const QuerySpec& spec, std::string* detail);
