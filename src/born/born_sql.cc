@@ -206,36 +206,36 @@ Status BornSqlClassifier::PartialFitExternal(
   BornClassifierRef local(params_);
   BORNSQL_RETURN_IF_ERROR(local.PartialFit(batch));
   if (local.corpus_entries() == 0) return Status::OK();
-  // ...and upsert them with the same incremental statement as §3.2, in
-  // bounded chunks so a huge external batch does not build one giant SQL
-  // string.
-  constexpr size_t kChunk = 512;
-  std::string values;
-  size_t in_chunk = 0;
-  auto flush = [&]() -> Status {
-    if (in_chunk == 0) return Status::OK();
-    Status st =
-        Exec(StrFormat(
-                "INSERT INTO %s (j, k, w) VALUES %s "
-                "ON CONFLICT (j, k) DO UPDATE SET w = %s.w + excluded.w",
-                corpus_table().c_str(), values.c_str(),
-                corpus_table().c_str()))
-            .status();
-    values.clear();
-    in_chunk = 0;
-    return st;
-  };
+  // ...and upsert them with the same incremental statement as §3.2.
+  std::vector<std::string> tuples;
   for (const auto& [j, row] : local.corpus()) {
     for (const auto& [k, w] : row) {
-      if (!values.empty()) values += ", ";
-      values += StrFormat("(%s, %s, %s)", SqlQuote(j).c_str(),
-                          ValueToSqlLiteral(k).c_str(),
-                          FormatDouble(w).c_str());
-      if (++in_chunk >= kChunk) BORNSQL_RETURN_IF_ERROR(flush());
+      tuples.push_back(StrFormat("(%s, %s, %s)", SqlQuote(j).c_str(),
+                                 ValueToSqlLiteral(k).c_str(),
+                                 FormatDouble(w).c_str()));
     }
   }
-  BORNSQL_RETURN_IF_ERROR(flush());
+  BORNSQL_RETURN_IF_ERROR(InsertTuples(
+      corpus_table() + " (j, k, w)", tuples,
+      StrFormat(" ON CONFLICT (j, k) DO UPDATE SET w = %s.w + excluded.w",
+                corpus_table().c_str())));
   return Undeploy();
+}
+
+Status BornSqlClassifier::InsertTuples(const std::string& into,
+                                       const std::vector<std::string>& tuples,
+                                       const std::string& tail) {
+  constexpr size_t kChunk = 512;
+  for (size_t begin = 0; begin < tuples.size(); begin += kChunk) {
+    const size_t end = std::min(tuples.size(), begin + kChunk);
+    std::string values = tuples[begin];
+    for (size_t i = begin + 1; i < end; ++i) values += ", " + tuples[i];
+    BORNSQL_RETURN_IF_ERROR(Exec(StrFormat("INSERT INTO %s VALUES %s%s",
+                                           into.c_str(), values.c_str(),
+                                           tail.c_str()))
+                                .status());
+  }
+  return Status::OK();
 }
 
 Status BornSqlClassifier::UnlearnExternal(const std::vector<Example>& batch) {
@@ -254,14 +254,14 @@ Result<std::vector<SqlPrediction>> BornSqlClassifier::PredictExternal(
       "DROP TABLE IF EXISTS %s;"
       "CREATE TABLE %s (n INTEGER, j TEXT, w REAL)",
       temp.c_str(), temp.c_str())));
-  BORNSQL_ASSIGN_OR_RETURN(storage::Table * table,
-                           db_->catalog().GetTable(temp));
+  std::vector<std::string> tuples;
   for (size_t i = 0; i < items.size(); ++i) {
     for (const auto& [j, w] : items[i]) {
-      table->AppendUnchecked({Value::Int(static_cast<int64_t>(i)),
-                              Value::Text(j), Value::Double(w)});
+      tuples.push_back(StrFormat("(%zu, %s, %s)", i, SqlQuote(j).c_str(),
+                                 FormatDouble(w).c_str()));
     }
   }
+  BORNSQL_RETURN_IF_ERROR(InsertTuples(temp, tuples, ""));
   // Classify through a driver whose q_x reads the temporary table; it
   // shares this model's corpus/weights/params state.
   SqlSource temp_source;

@@ -165,6 +165,12 @@ class BornSqlClassifier {
   // ignored. Release builds delegate straight through.
   Result<engine::QueryResult> Exec(const std::string& sql);
   Status ExecScript(const std::string& sql);
+  // Runs `INSERT INTO <into> VALUES <tuples><tail>` for the rendered
+  // tuples, at most 512 per statement, so a large external batch never
+  // builds one giant SQL string.
+  Status InsertTuples(const std::string& into,
+                      const std::vector<std::string>& tuples,
+                      const std::string& tail);
 
   // Ensures {model}_corpus and the params row exist.
   Status EnsureModel();

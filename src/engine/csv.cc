@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/strings.h"
+#include "sql/ast.h"
 
 namespace bornsql::engine {
 namespace {
@@ -138,10 +139,18 @@ Result<size_t> LoadCsv(Database* db, const std::string& table,
       header.push_back(StrFormat("c%zu", c + 1));
     }
   }
+  // Every record is checked before anything is written.
+  for (size_t r = first_data; r < records.size(); ++r) {
+    if (records[r].size() != header.size()) {
+      return Status::InvalidArgument(
+          StrFormat("CSV row %zu has %zu cells, expected %zu", r + 1,
+                    records[r].size(), header.size()));
+    }
+  }
 
-  storage::Table* dest = nullptr;
   if (db->catalog().Exists(table)) {
-    BORNSQL_ASSIGN_OR_RETURN(dest, db->catalog().GetTable(table));
+    BORNSQL_ASSIGN_OR_RETURN(storage::Table * dest,
+                             db->catalog().GetTable(table));
     if (dest->schema().size() != header.size()) {
       return Status::InvalidArgument(StrFormat(
           "CSV has %zu columns but table '%s' has %zu", header.size(),
@@ -152,32 +161,29 @@ Result<size_t> LoadCsv(Database* db, const std::string& table,
     for (const std::string& name : header) {
       schema.Add(Column{table, name, ValueType::kNull});
     }
-    BORNSQL_ASSIGN_OR_RETURN(
-        dest, db->catalog().CreateTable(table, std::move(schema), {}, false));
+    BORNSQL_RETURN_IF_ERROR(
+        db->catalog().CreateTable(table, std::move(schema), {}, false)
+            .status());
   }
+  if (records.size() == first_data) return size_t{0};
 
-  size_t loaded = 0;
+  // One INSERT through the write sink, which coerces each cell to its
+  // column's type. The cells are literals, not SQL text, so a REAL cell
+  // such as 1e5 stays REAL.
+  sql::Statement insert;
+  insert.kind = sql::StatementKind::kInsert;
+  insert.insert = std::make_unique<sql::InsertStmt>();
+  insert.insert->table = table;
   for (size_t r = first_data; r < records.size(); ++r) {
-    const auto& record = records[r];
-    if (record.size() != header.size()) {
-      return Status::InvalidArgument(
-          StrFormat("CSV row %zu has %zu cells, expected %zu", r + 1,
-                    record.size(), header.size()));
+    std::vector<sql::ExprPtr>& cells = insert.insert->values.emplace_back();
+    for (const std::string& cell : records[r]) {
+      cells.push_back(sql::MakeLiteral(CellToValue(cell, options)));
     }
-    Row row;
-    row.reserve(record.size());
-    for (size_t c = 0; c < record.size(); ++c) {
-      Value v = CellToValue(record[c], options);
-      ValueType declared = dest->schema().column(c).type;
-      if (declared != ValueType::kNull && !v.is_null()) {
-        BORNSQL_ASSIGN_OR_RETURN(v, v.CoerceTo(declared));
-      }
-      row.push_back(std::move(v));
-    }
-    BORNSQL_RETURN_IF_ERROR(dest->Insert(std::move(row)));
-    ++loaded;
   }
-  return loaded;
+  BORNSQL_ASSIGN_OR_RETURN(
+      QueryResult result,
+      db->ExecuteParsed(insert, "INSERT INTO " + table + " VALUES (csv)"));
+  return result.rows_affected;
 }
 
 Result<size_t> LoadCsvFile(Database* db, const std::string& table,

@@ -377,8 +377,10 @@ exec::OperatorPtr Database::ComposedViews::MakeViewScan(
 }
 
 Planner Database::MakePlanner() {
-  return Planner(catalog_, &config_, &composed_views_, &opt_stats_, &trace_,
-                 active_trace_);
+  Planner planner(catalog_, &config_, &composed_views_, &opt_stats_, &trace_,
+                  active_trace_);
+  planner.set_memory_budget(mem_parent_, query_mem_limit_);
+  return planner;
 }
 
 std::string Database::IndexJoinNote() const {
@@ -563,11 +565,8 @@ Result<exec::MaterializedChunks> Database::ExecPlan(
     // intermediate state. Released by query_mem's destructor. The charge
     // is per row and arithmetically identical to ApproxRowBytes over the
     // materialized rows these chunks stand in for.
-    uint64_t result_bytes = 0;
-    for (const exec::DataChunk& chunk : drained->chunks) {
-      result_bytes += chunk.ApproxBytes() + chunk.size() * sizeof(Row);
-    }
-    Status charged = query_mem.TryReserve(result_bytes, "result buffer");
+    Status charged =
+        query_mem.TryReserve(drained->ApproxRowBytes(), "result buffer");
     if (!charged.ok()) drained = std::move(charged);
   }
   // Recorded on failure too: an over-limit query's peak is exactly what

@@ -363,16 +363,18 @@ Status LogicalBuilder::FoldSubqueries(sql::Expr* e) {
   switch (e->kind) {
     case sql::ExprKind::kScalarSubquery: {
       BORNSQL_ASSIGN_OR_RETURN(LogicalPtr root, BuildStmt(*e->subquery));
-      BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedResult result,
+      BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks result,
                                hooks_.execute(std::move(root)));
       if (result.schema.size() != 1) {
         return Status::BindError("scalar subquery must return one column");
       }
-      if (result.rows.size() > 1) {
+      if (result.row_count > 1) {
         return Status::ExecutionError(
             "scalar subquery returned more than one row");
       }
-      Value v = result.rows.empty() ? Value::Null() : result.rows[0][0];
+      Value v = result.row_count == 0
+                    ? Value::Null()
+                    : std::move(result.chunks[0].column(0)[0]);
       e->kind = sql::ExprKind::kLiteral;
       e->literal = std::move(v);
       e->subquery.reset();
@@ -380,24 +382,26 @@ Status LogicalBuilder::FoldSubqueries(sql::Expr* e) {
     }
     case sql::ExprKind::kInSubquery: {
       BORNSQL_ASSIGN_OR_RETURN(LogicalPtr root, BuildStmt(*e->subquery));
-      BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedResult result,
+      BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks result,
                                hooks_.execute(std::move(root)));
       if (result.schema.size() != 1) {
         return Status::BindError("IN subquery must return one column");
       }
       e->kind = sql::ExprKind::kInSet;
       e->set_values.clear();
-      e->set_values.reserve(result.rows.size());
-      for (Row& row : result.rows) e->set_values.push_back(std::move(row[0]));
+      e->set_values.reserve(result.row_count);
+      for (exec::DataChunk& chunk : result.chunks) {
+        for (Value& v : chunk.column(0)) e->set_values.push_back(std::move(v));
+      }
       e->subquery.reset();
       return FoldSubqueries(e->left.get());
     }
     case sql::ExprKind::kExists: {
       BORNSQL_ASSIGN_OR_RETURN(LogicalPtr root, BuildStmt(*e->subquery));
-      BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedResult result,
+      BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks result,
                                hooks_.execute(std::move(root)));
       e->kind = sql::ExprKind::kLiteral;
-      e->literal = Value::Bool(!result.rows.empty());
+      e->literal = Value::Bool(result.row_count > 0);
       e->subquery.reset();
       return Status::OK();
     }

@@ -45,7 +45,7 @@ struct LogicalBuildHooks {
   std::function<Status(plan::LogicalNode*)> optimize;
   // Optimizes, lowers and drains a subquery plan (FoldSubqueries). Must be
   // set whenever statements can contain subqueries.
-  std::function<Result<exec::MaterializedResult>(plan::LogicalPtr)> execute;
+  std::function<Result<exec::MaterializedChunks>(plan::LogicalPtr)> execute;
 };
 
 class LogicalBuilder {

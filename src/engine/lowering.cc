@@ -69,13 +69,9 @@ class CteGateOp : public Operator {
       // buffered chunks are re-emitted as slices by every gate.
       BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks data,
                                exec::DrainChunks(*cell_->plan));
-      uint64_t bytes = 0;
-      for (const exec::DataChunk& c : data.chunks) {
-        bytes += c.ApproxBytes() + c.size() * sizeof(Row);
-      }
+      cell_->data_bytes = data.ApproxRowBytes();
       cell_->data =
           std::make_shared<exec::MaterializedChunks>(std::move(data));
-      cell_->data_bytes = bytes;
     }
     pos_ = 0;
     // Re-Open releases the prior charge first. The shared buffer is charged

@@ -39,14 +39,24 @@ LogicalBuildHooks Planner::MakeHooks(bool optimize) {
     };
   }
   hooks.execute =
-      [this](plan::LogicalPtr root) -> Result<exec::MaterializedResult> {
+      [this](plan::LogicalPtr root) -> Result<exec::MaterializedChunks> {
     Optimizer opt(config_, opt_stats_, recorder_, trace_);
     opt.set_validation_log(validation_log_);
     BORNSQL_RETURN_IF_ERROR(opt.Run(root.get()));
     Lowering lowering(config_, system_views_);
+    // A query tracker as the statement's own, declared before the tree so
+    // it outlives the operators' reservations; the folded result is
+    // charged as a statement's result buffer is.
+    obs::MemoryTracker query_mem("query", "query", mem_parent_);
+    if (mem_limit_ > 0) query_mem.set_limit(mem_limit_);
     BORNSQL_ASSIGN_OR_RETURN(OperatorPtr op, lowering.Lower(*root));
+    op->SetMemoryTracker(&query_mem);
     op->SetVectorSize(config_->vector_size);
-    return exec::Drain(*op);
+    BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks data,
+                             exec::DrainChunks(*op));
+    BORNSQL_RETURN_IF_ERROR(
+        query_mem.TryReserve(data.ApproxRowBytes(), "result buffer"));
+    return data;
   };
   return hooks;
 }

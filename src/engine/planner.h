@@ -25,6 +25,7 @@
 #include "engine/logical_builder.h"
 #include "exec/operators.h"
 #include "exec/sinks.h"
+#include "obs/memory.h"
 #include "obs/optimizer_stats.h"
 #include "obs/trace.h"
 #include "plan/logical_plan.h"
@@ -82,6 +83,13 @@ class Planner {
     validation_log_ = log;
   }
 
+  // The parent and byte limit (0 = none) of the query tracker a folded
+  // subquery runs under: the ones the statement's own execution uses.
+  void set_memory_budget(obs::MemoryTracker* parent, uint64_t limit) {
+    mem_parent_ = parent;
+    mem_limit_ = limit;
+  }
+
  private:
   // Hook bundle for a LogicalBuilder. `optimize` controls whether CTE
   // bodies get the rule pipeline; the execute hook always runs full
@@ -108,6 +116,8 @@ class Planner {
   const obs::TraceRecorder* recorder_;      // may be null
   obs::StatementTrace* trace_;              // may be null
   RewriteValidationLog* validation_log_ = nullptr;  // may be null
+  obs::MemoryTracker* mem_parent_ = nullptr;        // may be null
+  uint64_t mem_limit_ = 0;
 };
 
 }  // namespace bornsql::engine

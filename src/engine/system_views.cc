@@ -247,25 +247,14 @@ exec::OperatorPtr SystemViews::MakeViewScan(const std::string& name,
   Schema schema = base->WithQualifier(qualifier);
   const Database* db = db_;
   exec::SystemViewScanOp::Generator generator =
-      [db, lower, schema]() -> Result<exec::MaterializedResult> {
-    exec::MaterializedResult result;
-    result.schema = schema;
-    if (lower == kStatStatements) {
-      result.rows = StatementsRows(*db);
-    } else if (lower == kStatOperators) {
-      result.rows = OperatorsRows(*db);
-    } else if (lower == kStatTables) {
-      result.rows = TablesRows(*db);
-    } else if (lower == kStatOptimizer) {
-      result.rows = OptimizerRows(*db);
-    } else if (lower == kStatMemory) {
-      result.rows = MemoryRows(*db);
-    } else if (lower == kStatVerifier) {
-      result.rows = VerifierRows(*db);
-    } else {
-      result.rows = SlowLogRows(*db);
-    }
-    return result;
+      [db, lower]() -> Result<std::vector<Row>> {
+    if (lower == kStatStatements) return StatementsRows(*db);
+    if (lower == kStatOperators) return OperatorsRows(*db);
+    if (lower == kStatTables) return TablesRows(*db);
+    if (lower == kStatOptimizer) return OptimizerRows(*db);
+    if (lower == kStatMemory) return MemoryRows(*db);
+    if (lower == kStatVerifier) return VerifierRows(*db);
+    return SlowLogRows(*db);
   };
   return std::make_unique<exec::SystemViewScanOp>(lower, std::move(generator),
                                                   std::move(schema));

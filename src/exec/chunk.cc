@@ -15,22 +15,6 @@ void DataChunk::AppendRow(Row&& row) {
   ++size_;
 }
 
-Row DataChunk::MaterializeRow(size_t i) const {
-  assert(i < size_);
-  Row out;
-  out.reserve(cols_.size());
-  for (const auto& col : cols_) out.push_back(col[i]);
-  return out;
-}
-
-void DataChunk::AppendRowsTo(std::vector<Row>* out) const {
-  // No reserve(size() + size_) here: callers (Drain) invoke this once per
-  // chunk on the same accumulating vector, and an exact-size reserve defeats
-  // push_back's geometric growth -- at vector_size=1 that reallocates the
-  // whole result per row, turning an n-row drain into O(n^2) copying.
-  for (size_t i = 0; i < size_; ++i) out->push_back(MaterializeRow(i));
-}
-
 void DataChunk::AppendSelected(const DataChunk& src,
                                const SelectionVector& sel) {
   assert(src.column_count() == cols_.size());
@@ -82,33 +66,27 @@ void DataChunk::AppendRangeMoved(DataChunk& src, size_t begin, size_t count) {
   size_ += count;
 }
 
-void DataChunk::AppendConcat(const DataChunk& a, size_t ai, const Row* b,
-                             size_t b_width) {
-  assert(cols_.size() == a.column_count() + b_width);
-  assert(ai < a.size());
-  size_t c = 0;
-  for (; c < a.column_count(); ++c) cols_[c].push_back(a.cols_[c][ai]);
-  if (b != nullptr) {
-    assert(b->size() == b_width);
-    for (size_t j = 0; j < b_width; ++j) cols_[c + j].push_back((*b)[j]);
-  } else {
-    for (size_t j = 0; j < b_width; ++j) cols_[c + j].push_back(Value::Null());
+void DataChunk::AppendPairs(const DataChunk& left, const DataChunk& right,
+                            std::span<const RowPair> pairs) {
+  const size_t lw = left.column_count();
+  assert(cols_.size() == lw + right.column_count());
+  for (size_t c = 0; c < lw; ++c) {
+    auto& dst = cols_[c];
+    const auto& src = left.cols_[c];
+    for (const RowPair& p : pairs) dst.push_back(src[p.first]);
   }
-  ++size_;
+  for (size_t c = 0; c < right.column_count(); ++c) {
+    auto& dst = cols_[lw + c];
+    const auto& src = right.cols_[c];
+    for (const RowPair& p : pairs) {
+      dst.push_back(p.second == kNoRow ? Value::Null() : src[p.second]);
+    }
+  }
+  size_ += pairs.size();
 }
 
-void DataChunk::AppendConcat(const Row& a, const DataChunk& b, size_t bi) {
-  assert(cols_.size() == a.size() + b.column_count());
-  assert(bi < b.size());
-  for (size_t c = 0; c < a.size(); ++c) cols_[c].push_back(a[c]);
-  for (size_t c = 0; c < b.column_count(); ++c) {
-    cols_[a.size() + c].push_back(b.cols_[c][bi]);
-  }
-  ++size_;
-}
-
-uint64_t DataChunk::ApproxBytes() const {
-  uint64_t total = 0;
+uint64_t DataChunk::ApproxRowBytes() const {
+  uint64_t total = size_ * sizeof(Row);
   for (const auto& col : cols_) {
     for (size_t i = 0; i < size_; ++i) {
       total += obs::ApproxValueBytes(col[i]);

@@ -18,6 +18,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "types/value.h"
@@ -27,6 +29,11 @@ namespace bornsql::exec {
 // Indexes of the rows of a chunk that survive a predicate, in ascending
 // order.
 using SelectionVector = std::vector<uint32_t>;
+
+// A join output row: (left row, right row) indexes into two chunks.
+using RowPair = std::pair<uint32_t, uint32_t>;
+// A pair's right index when the left row matched nothing.
+inline constexpr uint32_t kNoRow = static_cast<uint32_t>(-1);
 
 class DataChunk {
  public:
@@ -57,15 +64,12 @@ class DataChunk {
   // gets its cardinality. Every column must already hold `n` values.
   void SetCardinality(size_t n) { size_ = n; }
 
-  // Row-at-a-time bridges, used by operators whose algorithm is inherently
-  // row-wise (sort-merge join stepping, hash-table inserts).
-  void AppendRow(Row&& row);  // moves the cell values
-  // Copies row `i` out as a Row.
-  Row MaterializeRow(size_t i) const;
-  // Appends every row, materialized, to `out` (final result buffering).
-  void AppendRowsTo(std::vector<Row>* out) const;
+  // Moves a row's cells in: how system-view snapshots (and test fixtures)
+  // become chunks.
+  void AppendRow(Row&& row);
 
-  // Appends src's rows at the positions in `sel` (filter compaction).
+  // Appends src's rows at the positions in `sel`, in sel's order: filter
+  // compaction, or a gather through a permutation.
   void AppendSelected(const DataChunk& src, const SelectionVector& sel);
   // Appends src rows [begin, begin+count) (LIMIT/OFFSET slicing).
   void AppendRange(const DataChunk& src, size_t begin, size_t count);
@@ -79,18 +83,16 @@ class DataChunk {
   void AppendSelectedMoved(DataChunk& src, const SelectionVector& sel);
   void AppendRangeMoved(DataChunk& src, size_t begin, size_t count);
 
-  // Join emission: appends chunk row `ai` of `a` concatenated with `b`
-  // (nullptr => `b_width` NULLs, for LEFT-join padding). This chunk must
-  // have a.column_count() + b_width columns.
-  void AppendConcat(const DataChunk& a, size_t ai, const Row* b,
-                    size_t b_width);
-  // Mirror image for joins whose build side comes first in the output:
-  // `a` ++ chunk row `bi` of `b`.
-  void AppendConcat(const Row& a, const DataChunk& b, size_t bi);
+  // Join emission: for each pair, appends row `first` of `left` followed by
+  // row `second` of `right`, or by NULLs where `second` is kNoRow (LEFT-join
+  // padding). This chunk must have left's plus right's columns.
+  void AppendPairs(const DataChunk& left, const DataChunk& right,
+                   std::span<const RowPair> pairs);
 
-  // Approximate heap bytes of the held values (obs::ApproxValueBytes
-  // summed), for chunk-granularity memory charging.
-  uint64_t ApproxBytes() const;
+  // The memory charge of buffering these rows: obs::ApproxRowBytes summed
+  // over them as if each were a Row, i.e. the held values' approximate
+  // bytes plus size() * sizeof(Row).
+  uint64_t ApproxRowBytes() const;
 
  private:
   std::vector<std::vector<Value>> cols_;

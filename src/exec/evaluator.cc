@@ -645,6 +645,44 @@ Status EvalChunk(const BoundExpr& e, const DataChunk& chunk,
   return s;
 }
 
+Status EvalExprs(const std::vector<const BoundExpr*>& exprs,
+                 const DataChunk& chunk,
+                 std::vector<std::vector<Value>>* scratch, KeyColumnRefs* cols) {
+  scratch->resize(exprs.size());
+  cols->assign(exprs.size(), nullptr);
+  Status s;
+  for (size_t k = 0; k < exprs.size() && s.ok(); ++k) {
+    const BoundExpr* e = exprs[k];
+    if (e == nullptr) continue;
+    if (e->kind == BoundKind::kColumn &&
+        e->column_index < chunk.column_count()) {
+      (*cols)[k] = &chunk.column(e->column_index);
+      continue;
+    }
+    s = EvalRows(*e, chunk, nullptr, &(*scratch)[k]);
+    (*cols)[k] = &(*scratch)[k];
+  }
+  if (s.ok() || chunk.size() <= 1) return s;
+  // Expression at a time, a later expression's error on an earlier row can
+  // come after an earlier expression's error on a later row.
+  SelectionVector one(1);
+  std::vector<Value> v;
+  for (uint32_t i = 0; i < chunk.size(); ++i) {
+    one[0] = i;
+    for (const BoundExpr* e : exprs) {
+      if (e != nullptr) BORNSQL_RETURN_IF_ERROR(EvalRows(*e, chunk, &one, &v));
+    }
+  }
+  return s;
+}
+
+std::vector<const BoundExpr*> ExprList(const std::vector<BoundExprPtr>& exprs) {
+  std::vector<const BoundExpr*> out;
+  out.reserve(exprs.size());
+  for (const BoundExprPtr& e : exprs) out.push_back(e.get());
+  return out;
+}
+
 Result<const std::vector<Value>*> EvalChunkRef(const BoundExpr& e,
                                                const DataChunk& chunk,
                                                std::vector<Value>* scratch) {

@@ -125,6 +125,22 @@ Result<const std::vector<Value>*> EvalChunkRef(const BoundExpr& expr,
                                                const DataChunk& chunk,
                                                std::vector<Value>* scratch);
 
+// Column views: (*cols[k])[i] is row i's value in column k.
+using KeyColumnRefs = std::vector<const std::vector<Value>*>;
+
+// An operator's expression list over a chunk, EvalChunkRef for each:
+// (*cols[k])[i] = exprs[k] on row i, with bare column references aliasing
+// the chunk's columns and the rest evaluated into (*scratch)[k]. A null
+// entry (COUNT(*)'s argument) yields a null ref. On an error, and only
+// then, the rows replay one at a time, each through the whole list in
+// order, and the first failure reports: the error vector size 1 reports.
+Status EvalExprs(const std::vector<const BoundExpr*>& exprs,
+                 const DataChunk& chunk,
+                 std::vector<std::vector<Value>>* scratch, KeyColumnRefs* cols);
+
+// The raw pointers of `exprs`, for EvalExprs.
+std::vector<const BoundExpr*> ExprList(const std::vector<BoundExprPtr>& exprs);
+
 // SQL LIKE with % and _ wildcards (case-sensitive, no ESCAPE clause).
 bool LikeMatch(const std::string& text, const std::string& pattern);
 

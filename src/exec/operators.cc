@@ -8,23 +8,6 @@
 namespace bornsql::exec {
 namespace {
 
-// Evaluates `exprs` over a whole chunk: (*cols[k])[i] = exprs[k] on row i.
-// Bare column keys alias the chunk's own columns (no value copies per
-// chunk); computed keys evaluate into the scratch vectors. The refs are
-// valid until `chunk` or `scratch` changes.
-Status EvalKeyColumns(const std::vector<BoundExprPtr>& exprs,
-                      const DataChunk& chunk,
-                      std::vector<std::vector<Value>>* scratch,
-                      KeyColumnRefs* cols) {
-  scratch->resize(exprs.size());
-  cols->resize(exprs.size());
-  for (size_t k = 0; k < exprs.size(); ++k) {
-    BORNSQL_ASSIGN_OR_RETURN(
-        (*cols)[k], EvalChunkRef(*exprs[k], chunk, &(*scratch)[k]));
-  }
-  return Status::OK();
-}
-
 // Assembles the key row for chunk row `i` from columnar key vectors.
 Row KeyAt(const KeyColumnRefs& cols, size_t i) {
   Row key;
@@ -41,28 +24,67 @@ bool KeyColsHaveNull(const KeyColumnRefs& cols, size_t i) {
   return false;
 }
 
-bool KeyHasNull(const Row& key) {
-  for (const Value& v : key) {
-    if (v.is_null()) return true;
+// obs::ApproxRowBytes summed over rows [0, n) of `cols`, read as rows.
+uint64_t KeyRowBytes(const KeyColumnRefs& cols, size_t n) {
+  uint64_t bytes = n * sizeof(Row);
+  for (const auto* c : cols) {
+    for (size_t i = 0; i < n; ++i) bytes += obs::ApproxValueBytes((*c)[i]);
   }
-  return false;
+  return bytes;
 }
 
-int CompareKeys(const Row& a, const Row& b) {
-  assert(a.size() == b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    int c = Value::Compare(a[i], b[i]);
-    if (c != 0) return c;
+// Opens `child` and buffers all its rows in *out, with `keys` evaluated
+// over them as key columns. `charge(chunk, key_cols)` accounts each input
+// chunk before its rows move in.
+template <typename Charge>
+Status BufferInput(Operator& child, const std::vector<const BoundExpr*>& keys,
+                   KeyedRows* out, Charge charge) {
+  out->rows.Reset(child.schema().size());
+  out->keys.assign(keys.size(), {});
+  BORNSQL_RETURN_IF_ERROR(child.Open());
+  DataChunk chunk;
+  std::vector<std::vector<Value>> scratch;
+  KeyColumnRefs cols;
+  while (true) {
+    BORNSQL_ASSIGN_OR_RETURN(bool more, child.Next(&chunk));
+    if (!more) return Status::OK();
+    BORNSQL_RETURN_IF_ERROR(EvalExprs(keys, chunk, &scratch, &cols));
+    BORNSQL_RETURN_IF_ERROR(charge(chunk, cols));
+    for (size_t k = 0; k < keys.size(); ++k) {
+      std::vector<Value>& dst = out->keys[k];
+      if (cols[k] == &scratch[k]) {  // computed: steal the values
+        dst.insert(dst.end(), std::make_move_iterator(scratch[k].begin()),
+                   std::make_move_iterator(scratch[k].end()));
+      } else {  // a bare column: copy before the rows move
+        dst.insert(dst.end(), cols[k]->begin(), cols[k]->end());
+      }
+    }
+    out->rows.AppendRangeMoved(chunk, 0, chunk.size());
+  }
+}
+
+// Compares buffered rows a and b on key columns [from, to); key k sorts
+// descending where desc[k].
+int CompareRows(const KeyedRows& in, const std::vector<bool>& desc, size_t a,
+                size_t b, size_t from, size_t to) {
+  for (size_t k = from; k < to; ++k) {
+    const int c = Value::Compare(in.keys[k][a], in.keys[k][b]);
+    if (c != 0) return desc[k] ? -c : c;
   }
   return 0;
 }
 
-Row ConcatRows(const Row& a, const Row& b) {
-  Row out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
+// The buffered rows in the order of key columns [from, to); ties keep
+// input order.
+std::vector<uint32_t> SortedOrder(const KeyedRows& in,
+                                  const std::vector<bool>& desc, size_t from,
+                                  size_t to) {
+  std::vector<uint32_t> order(in.rows.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return CompareRows(in, desc, a, b, from, to) < 0;
+  });
+  return order;
 }
 
 // Bookkeeping overhead charged per hash-table entry (bucket slot, chaining,
@@ -78,15 +100,6 @@ size_t RowKeyHash::operator()(const ColsKeyView& v) const {
   size_t h = 1469598103934665603ULL;
   for (const auto* c : *v.cols) {
     h ^= (*c)[v.row].Hash();
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-size_t RowKeyHash::operator()(const ChunkKeyView& v) const {
-  size_t h = 1469598103934665603ULL;
-  for (size_t c = 0; c < v.chunk->column_count(); ++c) {
-    h ^= v.chunk->column(c)[v.row].Hash();
     h *= 1099511628211ULL;
   }
   return h;
@@ -109,18 +122,6 @@ bool RowKeyEq::operator()(const Row& a, const ColsKeyView& b) const {
 }
 
 bool RowKeyEq::operator()(const ColsKeyView& a, const Row& b) const {
-  return (*this)(b, a);
-}
-
-bool RowKeyEq::operator()(const Row& a, const ChunkKeyView& b) const {
-  if (a.size() != b.chunk->column_count()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (Value::Compare(a[i], b.chunk->column(i)[b.row]) != 0) return false;
-  }
-  return true;
-}
-
-bool RowKeyEq::operator()(const ChunkKeyView& a, const Row& b) const {
   return (*this)(b, a);
 }
 
@@ -212,12 +213,10 @@ void Operator::ReleaseMemory() {
   mem_reserved_ = 0;
 }
 
-Result<MaterializedResult> Drain(Operator& op) {
-  BORNSQL_ASSIGN_OR_RETURN(MaterializedChunks data, DrainChunks(op));
-  MaterializedResult out;
-  out.schema = std::move(data.schema);
-  for (const DataChunk& chunk : data.chunks) chunk.AppendRowsTo(&out.rows);
-  return out;
+uint64_t MaterializedChunks::ApproxRowBytes() const {
+  uint64_t bytes = 0;
+  for (const DataChunk& chunk : chunks) bytes += chunk.ApproxRowBytes();
+  return bytes;
 }
 
 Result<MaterializedChunks> DrainChunks(Operator& op) {
@@ -236,19 +235,24 @@ Result<MaterializedChunks> DrainChunks(Operator& op) {
   return out;
 }
 
-bool EmitRowRange(const std::vector<Row>& rows, size_t* pos, size_t width,
-                  size_t vector_size, DataChunk* out) {
-  out->Reset(width);
-  if (*pos >= rows.size()) return false;
-  const size_t n = std::min(vector_size, rows.size() - *pos);
-  for (size_t c = 0; c < width; ++c) {
-    auto& col = out->column(c);
-    col.reserve(n);
-    for (size_t i = 0; i < n; ++i) col.push_back(rows[*pos + i][c]);
-  }
-  out->SetCardinality(n);
+bool EmitSlice(DataChunk* rows, size_t* pos, size_t vector_size,
+               DataChunk* out) {
+  out->Reset(rows->column_count());
+  if (*pos >= rows->size()) return false;
+  const size_t n = std::min(vector_size, rows->size() - *pos);
+  out->AppendRangeMoved(*rows, *pos, n);
   *pos += n;
   return true;
+}
+
+Status MaterializedScanOp::OpenImpl() {
+  pos_ = 0;
+  ReleaseMemory();  // a re-Open releases the prior charge first
+  rows_.Reset(schema_.size());
+  BORNSQL_RETURN_IF_ERROR(Produce(&rows_));
+  BORNSQL_RETURN_IF_ERROR(ChargeMemory(rows_.ApproxRowBytes()));
+  RecordPeakEntries(rows_.size());
+  return FlushMemory();
 }
 
 Result<bool> SeqScanOp::NextImpl(DataChunk* out) {
@@ -305,17 +309,15 @@ Result<bool> ProjectOp::NextImpl(DataChunk* out) {
   BORNSQL_ASSIGN_OR_RETURN(bool more, child_->Next(&input_));
   out->Reset(exprs_.size());
   if (!more) return false;
-  // Computed expressions evaluate first (they may read any input column);
-  // bare column references then pass through without going through the
-  // evaluator, and the last reference to an input column steals it.
-  for (size_t j = 0; j < exprs_.size(); ++j) {
-    if (bare_cols_[j] != kNotBare) continue;
-    BORNSQL_RETURN_IF_ERROR(EvalChunk(*exprs_[j], input_, &out->column(j)));
-  }
+  // Computed expressions evaluate first (they may read any input column)
+  // and swap into the output; bare column references then pass through,
+  // and the last reference to an input column steals it.
+  BORNSQL_RETURN_IF_ERROR(EvalExprs(expr_list_, input_, &scratch_, &cols_));
   for (size_t j = 0; j < exprs_.size(); ++j) {
     const size_t c = bare_cols_[j];
-    if (c == kNotBare) continue;
-    if (last_col_ref_[j]) {
+    if (c == kNotBare) {
+      out->column(j).swap(scratch_[j]);
+    } else if (last_col_ref_[j]) {
       out->column(j) = std::move(input_.column(c));
     } else {
       out->column(j) = input_.column(c);
@@ -335,6 +337,7 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
+      probe_exprs_(ExprList(left_keys_)),
       type_(type),
       schema_(Schema::Concat(left_->schema(), right_->schema())) {
   assert(type_ != JoinType::kCross);
@@ -346,7 +349,8 @@ Status HashJoinOp::OpenImpl() {
   build_data_.Reset(right_->schema().size());
   build_index_.clear();
   ReleaseMemory();
-  probe_chunk_.Clear();
+  // Pairs gather from it even before its first pull.
+  probe_chunk_.Reset(left_->schema().size());
   probe_row_ = 0;
   matches_ = nullptr;
   match_pos_ = 0;
@@ -355,6 +359,7 @@ Status HashJoinOp::OpenImpl() {
   BORNSQL_RETURN_IF_ERROR(left_->Open());
   BORNSQL_RETURN_IF_ERROR(right_->Open());
   DataChunk chunk;
+  const std::vector<const BoundExpr*> build_exprs = ExprList(right_keys_);
   std::vector<std::vector<Value>> key_scratch;
   KeyColumnRefs key_cols;
   SelectionVector keep;
@@ -365,7 +370,7 @@ Status HashJoinOp::OpenImpl() {
     // Bare column keys alias `chunk`; every read below happens before the
     // append at the bottom moves the chunk's values out.
     BORNSQL_RETURN_IF_ERROR(
-        EvalKeyColumns(right_keys_, chunk, &key_scratch, &key_cols));
+        EvalExprs(build_exprs, chunk, &key_scratch, &key_cols));
     keep.clear();
     size_t pos = build_data_.size();
     for (size_t i = 0; i < chunk.size(); ++i) {
@@ -408,23 +413,7 @@ void HashJoinOp::BeginProbeRow() {
 }
 
 void HashJoinOp::FlushPairs(DataChunk* out) {
-  if (pairs_.empty()) return;
-  const size_t probe_width = left_->schema().size();
-  for (size_t c = 0; c < probe_width; ++c) {
-    auto& dst = out->column(c);
-    const auto& src = probe_chunk_.column(c);
-    dst.reserve(dst.size() + pairs_.size());
-    for (const auto& p : pairs_) dst.push_back(src[p.first]);
-  }
-  for (size_t c = 0; c < build_data_.column_count(); ++c) {
-    auto& dst = out->column(probe_width + c);
-    const auto& src = build_data_.column(c);
-    dst.reserve(dst.size() + pairs_.size());
-    for (const auto& p : pairs_) {
-      dst.push_back(p.second == kNoMatch ? Value::Null() : src[p.second]);
-    }
-  }
-  out->SetCardinality(out->size() + pairs_.size());
+  out->AppendPairs(probe_chunk_, build_data_, pairs_);
   pairs_.clear();
 }
 
@@ -441,9 +430,8 @@ Result<bool> HashJoinOp::NextImpl(DataChunk* out) {
         probe_chunk_.Clear();
         return !out->empty();
       }
-      BORNSQL_RETURN_IF_ERROR(EvalKeyColumns(left_keys_, probe_chunk_,
-                                             &probe_key_scratch_,
-                                             &probe_keys_));
+      BORNSQL_RETURN_IF_ERROR(EvalExprs(probe_exprs_, probe_chunk_,
+                                        &probe_key_scratch_, &probe_keys_));
       probe_row_ = 0;
       BeginProbeRow();
     }
@@ -460,7 +448,7 @@ Result<bool> HashJoinOp::NextImpl(DataChunk* out) {
       }
     }
     if (type_ == JoinType::kLeft && !left_emitted_) {
-      pairs_.emplace_back(static_cast<uint32_t>(probe_row_), kNoMatch);
+      pairs_.emplace_back(static_cast<uint32_t>(probe_row_), kNoRow);
       left_emitted_ = true;
     }
     ++probe_row_;
@@ -488,99 +476,66 @@ SortMergeJoinOp::SortMergeJoinOp(OperatorPtr left, OperatorPtr right,
 }
 
 Status SortMergeJoinOp::OpenImpl() {
-  lrows_.clear();
-  rrows_.clear();
   ReleaseMemory();
-  li_ = rgroup_begin_ = rgroup_end_ = rj_ = 0;
-  in_group_ = false;
-  auto load = [this](Operator& op, const std::vector<BoundExprPtr>& keys,
-                     std::vector<std::pair<Row, Row>>* dst) -> Status {
-    BORNSQL_RETURN_IF_ERROR(op.Open());
-    DataChunk chunk;
-    std::vector<std::vector<Value>> key_scratch;
-    KeyColumnRefs key_cols;
-    while (true) {
-      auto more = op.Next(&chunk);
-      if (!more.ok()) return more.status();
-      if (!*more) break;
-      BORNSQL_RETURN_IF_ERROR(
-          EvalKeyColumns(keys, chunk, &key_scratch, &key_cols));
-      for (size_t i = 0; i < chunk.size(); ++i) {
-        Row key = KeyAt(key_cols, i);
-        Row row = chunk.MaterializeRow(i);
-        BORNSQL_RETURN_IF_ERROR(ChargeMemory(obs::ApproxRowBytes(row) +
-                                             obs::ApproxRowBytes(key)));
-        dst->emplace_back(std::move(key), std::move(row));
-      }
-    }
-    std::stable_sort(dst->begin(), dst->end(),
-                     [](const auto& a, const auto& b) {
-                       return CompareKeys(a.first, b.first) < 0;
-                     });
-    return Status::OK();
+  pairs_.clear();
+  pos_ = 0;
+  // Each buffered row is charged as a (key Row, data Row) pair.
+  const auto charge = [this](const DataChunk& chunk,
+                             const KeyColumnRefs& keys) {
+    return ChargeMemory(chunk.ApproxRowBytes() +
+                        KeyRowBytes(keys, chunk.size()));
   };
-  BORNSQL_RETURN_IF_ERROR(load(*left_, left_keys_, &lrows_));
-  BORNSQL_RETURN_IF_ERROR(load(*right_, right_keys_, &rrows_));
-  RecordPeakEntries(lrows_.size() + rrows_.size());
-  return FlushMemory();
-}
-
-Result<bool> SortMergeJoinOp::NextRow(Row* out) {
-  while (li_ < lrows_.size()) {
-    const Row& lkey = lrows_[li_].first;
-    if (!in_group_) {
-      const bool null_key = KeyHasNull(lkey);  // NULL keys never match
-      if (!null_key) {
-        // Advance the right cursor to the group of keys equal to lkey.
-        while (rgroup_begin_ < rrows_.size() &&
-               (KeyHasNull(rrows_[rgroup_begin_].first) ||
-                CompareKeys(rrows_[rgroup_begin_].first, lkey) < 0)) {
-          ++rgroup_begin_;
-        }
-        rgroup_end_ = rgroup_begin_;
-        while (rgroup_end_ < rrows_.size() &&
-               CompareKeys(rrows_[rgroup_end_].first, lkey) == 0) {
-          ++rgroup_end_;
-        }
+  BORNSQL_RETURN_IF_ERROR(
+      BufferInput(*left_, ExprList(left_keys_), &lrows_, charge));
+  BORNSQL_RETURN_IF_ERROR(
+      BufferInput(*right_, ExprList(right_keys_), &rrows_, charge));
+  RecordPeakEntries(lrows_.rows.size() + rrows_.rows.size());
+  const size_t num_keys = left_keys_.size();
+  const std::vector<bool> asc(num_keys, false);
+  const std::vector<uint32_t> lorder = SortedOrder(lrows_, asc, 0, num_keys);
+  const std::vector<uint32_t> rorder = SortedOrder(rrows_, asc, 0, num_keys);
+  // Compares left row l with right row r.
+  const auto compare = [this](uint32_t l, uint32_t r) {
+    for (size_t k = 0; k < lrows_.keys.size(); ++k) {
+      const int c = Value::Compare(lrows_.keys[k][l], rrows_.keys[k][r]);
+      if (c != 0) return c;
+    }
+    return 0;
+  };
+  // NULL keys never match.
+  const auto has_null = [](const KeyedRows& in, uint32_t i) {
+    for (const std::vector<Value>& key : in.keys) {
+      if (key[i].is_null()) return true;
+    }
+    return false;
+  };
+  size_t begin = 0;  // first right row not below the current left key
+  for (uint32_t l : lorder) {
+    size_t end = begin;
+    if (!has_null(lrows_, l)) {
+      while (begin < rorder.size() && (has_null(rrows_, rorder[begin]) ||
+                                       compare(l, rorder[begin]) > 0)) {
+        ++begin;
       }
-      if (null_key || rgroup_begin_ == rgroup_end_) {  // no match
-        ++li_;
-        if (type_ != JoinType::kLeft) continue;
-        *out = ConcatRows(lrows_[li_ - 1].second,
-                          Row(right_->schema().size()));
-        return true;
-      }
-      in_group_ = true;
-      rj_ = rgroup_begin_;
+      end = begin;
+      while (end < rorder.size() && compare(l, rorder[end]) == 0) ++end;
     }
-    if (rj_ < rgroup_end_) {
-      *out = ConcatRows(lrows_[li_].second, rrows_[rj_].second);
-      ++rj_;
-      return true;
+    for (size_t r = begin; r < end; ++r) pairs_.emplace_back(l, rorder[r]);
+    if (begin == end && type_ == JoinType::kLeft) {
+      pairs_.emplace_back(l, kNoRow);
     }
-    // Finished this left row's matches. The next left row may share the key,
-    // in which case the same right group applies.
-    in_group_ = false;
-    size_t next = li_ + 1;
-    if (next < lrows_.size() &&
-        CompareKeys(lrows_[next].first, lkey) == 0) {
-      in_group_ = true;
-      rj_ = rgroup_begin_;
-    }
-    ++li_;
   }
-  return false;
+  return FlushMemory();
 }
 
 Result<bool> SortMergeJoinOp::NextImpl(DataChunk* out) {
   out->Reset(schema_.size());
-  Row row;
-  while (out->size() < vector_size()) {
-    BORNSQL_ASSIGN_OR_RETURN(bool more, NextRow(&row));
-    if (!more) break;
-    out->AppendRow(std::move(row));
-  }
-  return !out->empty();
+  if (pos_ >= pairs_.size()) return false;
+  const size_t n = std::min(vector_size(), pairs_.size() - pos_);
+  out->AppendPairs(lrows_.rows, rrows_.rows,
+                   std::span<const RowPair>(pairs_).subspan(pos_, n));
+  pos_ += n;
+  return true;
 }
 
 // ---- NestedLoopJoinOp -----------------------------------------------------
@@ -594,79 +549,77 @@ NestedLoopJoinOp::NestedLoopJoinOp(OperatorPtr left, OperatorPtr right,
       schema_(Schema::Concat(left_->schema(), right_->schema())) {}
 
 Status NestedLoopJoinOp::OpenImpl() {
-  right_rows_.clear();
   ReleaseMemory();
-  have_left_ = false;
   left_done_ = false;
-  left_chunk_.Clear();
+  // Pairs gather from it even before its first pull.
+  left_chunk_.Reset(left_->schema().size());
   left_row_ = 0;
   right_pos_ = 0;
+  left_matched_ = false;
   BORNSQL_RETURN_IF_ERROR(left_->Open());
-  BORNSQL_ASSIGN_OR_RETURN(MaterializedResult right, Drain(*right_));
-  right_rows_ = std::move(right.rows);
-  for (const Row& row : right_rows_) {
-    BORNSQL_RETURN_IF_ERROR(ChargeMemory(obs::ApproxRowBytes(row)));
-  }
-  RecordPeakEntries(right_rows_.size());
+  BORNSQL_RETURN_IF_ERROR(BufferInput(
+      *right_, {}, &right_rows_,
+      [this](const DataChunk& chunk, const KeyColumnRefs&) {
+        return ChargeMemory(chunk.ApproxRowBytes());
+      }));
+  RecordPeakEntries(right_rows_.rows.size());
   return FlushMemory();
 }
 
 Result<bool> NestedLoopJoinOp::NextImpl(DataChunk* out) {
   out->Reset(schema_.size());
-  const size_t right_width = right_->schema().size();
-  while (true) {
-    if (!have_left_) {
-      if (left_row_ + 1 < left_chunk_.size()) {
-        ++left_row_;
-      } else {
-        if (left_done_) return !out->empty();
-        BORNSQL_ASSIGN_OR_RETURN(bool more, left_->Next(&left_chunk_));
-        if (!more) {
-          left_done_ = true;
-          left_chunk_.Clear();
-          return !out->empty();
-        }
-        left_row_ = 0;
+  const DataChunk& right = right_rows_.rows;
+  pairs_.clear();
+  while (out->size() + pairs_.size() < vector_size()) {
+    if (left_row_ >= left_chunk_.size()) {
+      // The pairs index into left_chunk_: gather them before it refills.
+      out->AppendPairs(left_chunk_, right, pairs_);
+      pairs_.clear();
+      if (left_done_) return !out->empty();
+      BORNSQL_ASSIGN_OR_RETURN(bool more, left_->Next(&left_chunk_));
+      if (!more) {
+        left_done_ = true;
+        left_chunk_.Clear();
+        return !out->empty();
       }
-      have_left_ = true;
-      left_matched_ = false;
-      right_pos_ = 0;
+      left_row_ = 0;
+      continue;
     }
     // This left row's next candidate pairs, as many as `out` has room for;
-    // the predicate evaluates over them at once.
-    const size_t take = std::min(right_rows_.size() - right_pos_,
-                                 vector_size() - out->size());
-    DataChunk* pairs = predicate_ == nullptr ? out : &candidates_;
-    if (predicate_ != nullptr) candidates_.Reset(schema_.size());
+    // the predicate evaluates over them at once and keeps those it passes.
+    const size_t first = pairs_.size();
+    const size_t take = std::min(right.size() - right_pos_,
+                                 vector_size() - out->size() - first);
     for (size_t t = 0; t < take; ++t) {
-      pairs->AppendConcat(left_chunk_, left_row_,
-                          &right_rows_[right_pos_ + t], right_width);
+      pairs_.emplace_back(static_cast<uint32_t>(left_row_),
+                          static_cast<uint32_t>(right_pos_ + t));
     }
     right_pos_ += take;
-    if (predicate_ == nullptr) {
-      left_matched_ = left_matched_ || take > 0;
-    } else {
+    if (predicate_ != nullptr && take > 0) {
+      candidates_.Reset(schema_.size());
+      candidates_.AppendPairs(left_chunk_, right,
+                              std::span<const RowPair>(pairs_).subspan(first));
       BORNSQL_ASSIGN_OR_RETURN(
           const std::vector<Value>* pass,
           EvalChunkRef(*predicate_, candidates_, &pred_vals_));
-      sel_.clear();
+      size_t kept = first;
       for (size_t c = 0; c < take; ++c) {
         const Value& v = (*pass)[c];
-        if (!v.is_null() && v.Truthy()) {
-          sel_.push_back(static_cast<uint32_t>(c));
-        }
+        if (!v.is_null() && v.Truthy()) pairs_[kept++] = pairs_[first + c];
       }
-      left_matched_ = left_matched_ || !sel_.empty();
-      out->AppendSelectedMoved(candidates_, sel_);
+      pairs_.resize(kept);
     }
-    if (out->size() >= vector_size()) return true;
-    if (right_pos_ < right_rows_.size()) continue;
+    left_matched_ = left_matched_ || pairs_.size() > first;
+    if (right_pos_ < right.size()) continue;
     if (type_ == JoinType::kLeft && !left_matched_) {
-      out->AppendConcat(left_chunk_, left_row_, nullptr, right_width);
+      pairs_.emplace_back(static_cast<uint32_t>(left_row_), kNoRow);
     }
-    have_left_ = false;
-    if (out->size() >= vector_size()) return true;
+    ++left_row_;
+    right_pos_ = 0;
+    left_matched_ = false;
   }
+  out->AppendPairs(left_chunk_, right, pairs_);
+  return true;
 }
 
 // ---- IndexJoinOp ------------------------------------------------------------
@@ -680,6 +633,7 @@ IndexJoinOp::IndexJoinOp(OperatorPtr outer, const storage::Table* inner_table,
       inner_schema_(std::move(inner_schema)),
       index_id_(index_id),
       outer_keys_(std::move(outer_keys)),
+      outer_exprs_(ExprList(outer_keys_)),
       inner_on_left_(inner_on_left),
       schema_(inner_on_left_ ? Schema::Concat(inner_schema_, outer_->schema())
                              : Schema::Concat(outer_->schema(),
@@ -701,10 +655,33 @@ void IndexJoinOp::BeginOuterRow() {
   inner_table_->LookupIndex(index_id_, key, &matches_);
 }
 
+void IndexJoinOp::FlushPairs(DataChunk* out) {
+  const size_t outer_width = outer_chunk_.column_count();
+  const size_t inner_width = inner_schema_.size();
+  const size_t outer_first = inner_on_left_ ? inner_width : 0;
+  const size_t inner_first = inner_on_left_ ? 0 : outer_width;
+  for (size_t c = 0; c < outer_width; ++c) {
+    auto& dst = out->column(outer_first + c);
+    const auto& src = outer_chunk_.column(c);
+    for (const RowPair& p : pairs_) dst.push_back(src[p.first]);
+  }
+  const auto& rows = inner_table_->rows();
+  for (const RowPair& p : pairs_) {
+    const Row& row = rows[p.second];
+    for (size_t c = 0; c < inner_width; ++c) {
+      out->column(inner_first + c).push_back(row[c]);
+    }
+  }
+  out->SetCardinality(out->size() + pairs_.size());
+  pairs_.clear();
+}
+
 Result<bool> IndexJoinOp::NextImpl(DataChunk* out) {
   out->Reset(schema_.size());
+  pairs_.clear();
   while (true) {
     if (outer_row_ >= outer_chunk_.size()) {
+      FlushPairs(out);  // indices dangle once outer_chunk_ is replaced
       if (outer_done_) return !out->empty();
       BORNSQL_ASSIGN_OR_RETURN(bool more, outer_->Next(&outer_chunk_));
       if (!more) {
@@ -712,25 +689,27 @@ Result<bool> IndexJoinOp::NextImpl(DataChunk* out) {
         outer_chunk_.Clear();
         return !out->empty();
       }
-      BORNSQL_RETURN_IF_ERROR(EvalKeyColumns(outer_keys_, outer_chunk_,
-                                             &outer_key_scratch_,
-                                             &outer_key_cols_));
+      BORNSQL_RETURN_IF_ERROR(EvalExprs(outer_exprs_, outer_chunk_,
+                                        &outer_key_scratch_,
+                                        &outer_key_cols_));
       outer_row_ = 0;
       BeginOuterRow();
     }
-    while (match_pos_ < matches_.size() && out->size() < vector_size()) {
-      const Row& inner_row = inner_table_->rows()[matches_[match_pos_++]];
-      if (inner_on_left_) {
-        out->AppendConcat(inner_row, outer_chunk_, outer_row_);
-      } else {
-        out->AppendConcat(outer_chunk_, outer_row_, &inner_row,
-                          inner_schema_.size());
-      }
+    const size_t budget = vector_size() - out->size();
+    while (match_pos_ < matches_.size() && pairs_.size() < budget) {
+      pairs_.emplace_back(static_cast<uint32_t>(outer_row_),
+                          static_cast<uint32_t>(matches_[match_pos_++]));
     }
-    if (match_pos_ < matches_.size()) return true;  // output chunk full
+    if (match_pos_ < matches_.size()) {  // output chunk full
+      FlushPairs(out);
+      return true;
+    }
     ++outer_row_;
     if (outer_row_ < outer_chunk_.size()) BeginOuterRow();
-    if (out->size() >= vector_size()) return true;
+    if (out->size() + pairs_.size() >= vector_size()) {
+      FlushPairs(out);
+      return true;
+    }
   }
 }
 
@@ -741,23 +720,25 @@ HashAggOp::HashAggOp(OperatorPtr child, std::vector<BoundExprPtr> group_exprs,
     : child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       aggs_(std::move(aggs)),
-      schema_(std::move(schema)) {}
+      schema_(std::move(schema)),
+      exprs_(ExprList(group_exprs_)) {
+  for (const AggSpec& a : aggs_) exprs_.push_back(a.arg.get());
+}
 
 Status HashAggOp::OpenImpl() {
   results_.Reset(schema_.size());
   ReleaseMemory();
   pos_ = 0;
+  const size_t num_keys = group_exprs_.size();
 
   // Group order follows first appearance, which keeps results deterministic.
   std::unordered_map<Row, size_t, RowKeyHash, RowKeyEq> group_index;
-  std::vector<Row> group_keys;
   std::vector<std::vector<AggState>> states;
 
-  auto new_group = [&](const Row& key) -> Result<size_t> {
+  // Opens a group whose key row takes `key_bytes`.
+  auto new_group = [&](uint64_t key_bytes) -> Result<size_t> {
     BORNSQL_RETURN_IF_ERROR(ChargeMemory(
-        obs::ApproxRowBytes(key) + aggs_.size() * kAggStateBytes +
-        kHashEntryOverhead));
-    group_keys.push_back(key);
+        key_bytes + aggs_.size() * kAggStateBytes + kHashEntryOverhead));
     std::vector<AggState> st;
     st.reserve(aggs_.size());
     for (const AggSpec& a : aggs_) st.emplace_back(a.func);
@@ -767,30 +748,20 @@ Status HashAggOp::OpenImpl() {
 
   BORNSQL_RETURN_IF_ERROR(child_->Open());
   DataChunk chunk;
-  std::vector<std::vector<Value>> group_scratch;
+  std::vector<std::vector<Value>> scratch;
+  KeyColumnRefs cols;
   KeyColumnRefs group_cols;
-  std::vector<std::vector<Value>> arg_scratch(aggs_.size());
-  std::vector<const std::vector<Value>*> arg_cols(aggs_.size());
   while (true) {
     auto more = child_->Next(&chunk);
     if (!more.ok()) return more.status();
     if (!*more) break;
-    if (!group_exprs_.empty()) {
-      BORNSQL_RETURN_IF_ERROR(
-          EvalKeyColumns(group_exprs_, chunk, &group_scratch, &group_cols));
-    }
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      if (aggs_[a].arg != nullptr) {
-        BORNSQL_ASSIGN_OR_RETURN(
-            arg_cols[a],
-            EvalChunkRef(*aggs_[a].arg, chunk, &arg_scratch[a]));
-      }
-    }
+    BORNSQL_RETURN_IF_ERROR(EvalExprs(exprs_, chunk, &scratch, &cols));
+    group_cols.assign(cols.begin(), cols.begin() + num_keys);
     for (size_t i = 0; i < chunk.size(); ++i) {
       size_t g;
-      if (group_exprs_.empty()) {
+      if (num_keys == 0) {
         if (states.empty()) {
-          BORNSQL_RETURN_IF_ERROR(new_group(Row{}).status());
+          BORNSQL_RETURN_IF_ERROR(new_group(sizeof(Row)).status());
         }
         g = 0;
       } else {
@@ -800,38 +771,27 @@ Status HashAggOp::OpenImpl() {
         auto it = group_index.find(ColsKeyView{&group_cols, i});
         if (it == group_index.end()) {
           Row key = KeyAt(group_cols, i);
-          BORNSQL_ASSIGN_OR_RETURN(g, new_group(key));
+          BORNSQL_ASSIGN_OR_RETURN(g, new_group(obs::ApproxRowBytes(key)));
+          for (size_t k = 0; k < num_keys; ++k) {
+            results_.column(k).push_back(key[k]);
+          }
           group_index.emplace(std::move(key), g);
         } else {
           g = it->second;
         }
       }
       for (size_t a = 0; a < aggs_.size(); ++a) {
-        if (aggs_[a].arg == nullptr) {
-          BORNSQL_RETURN_IF_ERROR(states[g][a].Accumulate(Value::Null()));
-        } else {
-          BORNSQL_RETURN_IF_ERROR(
-              states[g][a].Accumulate((*arg_cols[a])[i]));
-        }
+        const std::vector<Value>* arg = cols[num_keys + a];
+        BORNSQL_RETURN_IF_ERROR(
+            states[g][a].Accumulate(arg == nullptr ? Value::Null() : (*arg)[i]));
       }
     }
   }
   // Global aggregate over empty input still yields one row.
-  if (group_exprs_.empty() && states.empty()) {
-    BORNSQL_RETURN_IF_ERROR(new_group(Row{}).status());
+  if (num_keys == 0 && states.empty()) {
+    BORNSQL_RETURN_IF_ERROR(new_group(sizeof(Row)).status());
   }
   RecordPeakEntries(states.size());
-
-  // Finalize straight into columns, stealing the key values (the map's own
-  // key copies keep group_index consistent until it goes out of scope).
-  const size_t num_keys = group_exprs_.size();
-  for (size_t k = 0; k < num_keys; ++k) {
-    auto& col = results_.column(k);
-    col.reserve(states.size());
-    for (size_t g = 0; g < states.size(); ++g) {
-      col.push_back(std::move(group_keys[g][k]));
-    }
-  }
   for (size_t a = 0; a < aggs_.size(); ++a) {
     auto& col = results_.column(num_keys + a);
     col.reserve(states.size());
@@ -844,59 +804,39 @@ Status HashAggOp::OpenImpl() {
 }
 
 Result<bool> HashAggOp::NextImpl(DataChunk* out) {
-  out->Reset(schema_.size());
-  if (pos_ >= results_.size()) return false;
-  const size_t n = std::min(vector_size(), results_.size() - pos_);
-  out->AppendRangeMoved(results_, pos_, n);
-  pos_ += n;
-  return true;
+  return EmitSlice(&results_, &pos_, vector_size(), out);
 }
 
 // ---- SortOp ---------------------------------------------------------------
 
+SortOp::SortOp(OperatorPtr child, std::vector<SortKey> keys)
+    : child_(std::move(child)), keys_(std::move(keys)) {
+  for (const SortKey& k : keys_) {
+    key_exprs_.push_back(k.expr.get());
+    desc_.push_back(k.desc);
+  }
+}
+
 Status SortOp::OpenImpl() {
-  rows_.clear();
   ReleaseMemory();
   pos_ = 0;
-  BORNSQL_RETURN_IF_ERROR(child_->Open());
-  // Precompute key rows alongside data rows for a cheap comparator; the
-  // keys themselves are evaluated columnar, a chunk at a time.
-  std::vector<std::pair<Row, Row>> keyed;
-  DataChunk chunk;
-  std::vector<std::vector<Value>> key_scratch(keys_.size());
-  KeyColumnRefs key_cols(keys_.size());
-  while (true) {
-    auto more = child_->Next(&chunk);
-    if (!more.ok()) return more.status();
-    if (!*more) break;
-    for (size_t k = 0; k < keys_.size(); ++k) {
-      BORNSQL_ASSIGN_OR_RETURN(
-          key_cols[k], EvalChunkRef(*keys_[k].expr, chunk, &key_scratch[k]));
-    }
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      Row key = KeyAt(key_cols, i);
-      Row row = chunk.MaterializeRow(i);
-      BORNSQL_RETURN_IF_ERROR(ChargeMemory(obs::ApproxRowBytes(row) +
-                                           obs::ApproxRowBytes(key)));
-      keyed.emplace_back(std::move(key), std::move(row));
-    }
-  }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [this](const auto& a, const auto& b) {
-                     for (size_t i = 0; i < keys_.size(); ++i) {
-                       int c = Value::Compare(a.first[i], b.first[i]);
-                       if (c != 0) return keys_[i].desc ? c > 0 : c < 0;
-                     }
-                     return false;
-                   });
-  rows_.reserve(keyed.size());
-  for (auto& [key, data] : keyed) rows_.push_back(std::move(data));
+  // Each buffered row is charged as a (key Row, data Row) pair.
+  KeyedRows in;
+  BORNSQL_RETURN_IF_ERROR(BufferInput(
+      *child_, key_exprs_, &in,
+      [this](const DataChunk& chunk, const KeyColumnRefs& keys) {
+        return ChargeMemory(chunk.ApproxRowBytes() +
+                            KeyRowBytes(keys, chunk.size()));
+      }));
+  rows_.Reset(in.rows.column_count());
+  rows_.AppendSelectedMoved(in.rows,
+                            SortedOrder(in, desc_, 0, key_exprs_.size()));
   RecordPeakEntries(rows_.size());
   return FlushMemory();
 }
 
 Result<bool> SortOp::NextImpl(DataChunk* out) {
-  return EmitRowRange(rows_, &pos_, schema().size(), vector_size(), out);
+  return EmitSlice(&rows_, &pos_, vector_size(), out);
 }
 
 // ---- LimitOp ---------------------------------------------------------------
@@ -980,11 +920,15 @@ Result<bool> DistinctOp::NextImpl(DataChunk* out) {
       return false;
     }
     sel_.clear();
+    cols_.clear();
+    for (size_t c = 0; c < input_.column_count(); ++c) {
+      cols_.push_back(&input_.column(c));
+    }
     for (size_t i = 0; i < input_.size(); ++i) {
       // Transparent duplicate check against the chunk columns; only
       // genuinely new rows are materialized into the set.
-      if (seen_.find(ChunkKeyView{&input_, i}) != seen_.end()) continue;
-      auto [it, inserted] = seen_.emplace(input_.MaterializeRow(i), true);
+      if (seen_.find(ColsKeyView{&cols_, i}) != seen_.end()) continue;
+      auto [it, inserted] = seen_.emplace(KeyAt(cols_, i), true);
       BORNSQL_RETURN_IF_ERROR(ChargeMemory(obs::ApproxRowBytes(it->first) +
                                            kHashEntryOverhead));
       sel_.push_back(static_cast<uint32_t>(i));
@@ -1012,73 +956,50 @@ WindowOp::WindowOp(OperatorPtr child, std::vector<WindowSpec> specs)
   schema_ = child_->schema();
   for (const WindowSpec& spec : specs_) {
     schema_.Add(Column{"", spec.output_name, ValueType::kInt});
+    for (const BoundExprPtr& p : spec.partition_by) {
+      key_exprs_.push_back(p.get());
+      desc_.push_back(false);
+    }
+    for (const SortKey& k : spec.order_by) {
+      key_exprs_.push_back(k.expr.get());
+      desc_.push_back(k.desc);
+    }
   }
 }
 
 Status WindowOp::OpenImpl() {
-  rows_.clear();
   ReleaseMemory();
   pos_ = 0;
-  BORNSQL_RETURN_IF_ERROR(child_->Open());
-  // keys[s][k][i]: spec s's partition keys, then its order keys, for input
-  // row i, evaluated column by column for each input chunk.
-  std::vector<std::vector<std::vector<Value>>> keys(specs_.size());
-  for (size_t s = 0; s < specs_.size(); ++s) {
-    keys[s].resize(specs_[s].partition_by.size() + specs_[s].order_by.size());
-  }
-  DataChunk chunk;
-  std::vector<Value> col;
-  while (true) {
-    auto more = child_->Next(&chunk);
-    if (!more.ok()) return more.status();
-    if (!*more) break;
-    for (size_t s = 0; s < specs_.size(); ++s) {
-      const size_t parts = specs_[s].partition_by.size();
-      for (size_t k = 0; k < keys[s].size(); ++k) {
-        BORNSQL_RETURN_IF_ERROR(EvalChunk(
-            k < parts ? *specs_[s].partition_by[k]
-                      : *specs_[s].order_by[k - parts].expr,
-            chunk, &col));
-        keys[s][k].insert(keys[s][k].end(),
-                          std::make_move_iterator(col.begin()),
-                          std::make_move_iterator(col.end()));
-      }
-    }
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      Row row = chunk.MaterializeRow(i);
-      BORNSQL_RETURN_IF_ERROR(ChargeMemory(
-          obs::ApproxRowBytes(row) + specs_.size() * sizeof(Value)));
-      rows_.push_back(std::move(row));
-    }
-  }
+  KeyedRows in;
+  BORNSQL_RETURN_IF_ERROR(BufferInput(
+      *child_, key_exprs_, &in,
+      [this](const DataChunk& chunk, const KeyColumnRefs&) {
+        return ChargeMemory(chunk.ApproxRowBytes() +
+                            chunk.size() * specs_.size() * sizeof(Value));
+      }));
+  const size_t n = in.rows.size();
+  const size_t width = in.rows.column_count();
+  rows_.Reset(schema_.size());
+  for (size_t c = 0; c < width; ++c) rows_.column(c).swap(in.rows.column(c));
 
+  size_t from = 0;  // the spec's first key
   for (size_t s = 0; s < specs_.size(); ++s) {
     const WindowSpec& spec = specs_[s];
-    const std::vector<std::vector<Value>>& key = keys[s];
-    const size_t parts = spec.partition_by.size();
-    // Compares rows a and b on keys [from, to): partition keys ascending,
-    // order keys in their own direction.
-    const auto compare = [&](size_t a, size_t b, size_t from, size_t to) {
-      for (size_t k = from; k < to; ++k) {
-        const int c = Value::Compare(key[k][a], key[k][b]);
-        if (c != 0) return k >= parts && spec.order_by[k - parts].desc ? -c : c;
-      }
-      return 0;
-    };
-    std::vector<size_t> sorted(rows_.size());
-    std::iota(sorted.begin(), sorted.end(), size_t{0});
-    std::stable_sort(sorted.begin(), sorted.end(), [&](size_t a, size_t b) {
-      return compare(a, b, 0, key.size()) < 0;
-    });
+    const size_t parts = from + spec.partition_by.size();
+    const size_t to = parts + spec.order_by.size();
+    const std::vector<uint32_t> sorted = SortedOrder(in, desc_, from, to);
+    std::vector<Value>& out = rows_.column(width + s);
+    out.resize(n);
     int64_t row_number = 0;  // position within the partition
     int64_t rank = 0;        // RANK: ties share, then gaps
     int64_t dense = 0;       // DENSE_RANK: ties share, no gaps
-    for (size_t i = 0; i < sorted.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       const bool new_partition =
-          i == 0 || compare(sorted[i], sorted[i - 1], 0, parts) != 0;
-      const bool peer =
-          !new_partition &&
-          compare(sorted[i], sorted[i - 1], parts, key.size()) == 0;
+          i == 0 || CompareRows(in, desc_, sorted[i], sorted[i - 1], from,
+                                parts) != 0;
+      const bool peer = !new_partition &&
+                        CompareRows(in, desc_, sorted[i], sorted[i - 1],
+                                    parts, to) == 0;
       if (new_partition) {
         row_number = 0;
         rank = 0;
@@ -1092,15 +1013,17 @@ Status WindowOp::OpenImpl() {
       int64_t value = row_number;
       if (spec.func == WindowFunc::kRank) value = rank;
       if (spec.func == WindowFunc::kDenseRank) value = dense;
-      rows_[sorted[i]].push_back(Value::Int(value));
+      out[sorted[i]] = Value::Int(value);
     }
+    from = to;
   }
-  RecordPeakEntries(rows_.size());
+  rows_.SetCardinality(n);
+  RecordPeakEntries(n);
   return FlushMemory();
 }
 
 Result<bool> WindowOp::NextImpl(DataChunk* out) {
-  return EmitRowRange(rows_, &pos_, schema_.size(), vector_size(), out);
+  return EmitSlice(&rows_, &pos_, vector_size(), out);
 }
 
 }  // namespace bornsql::exec

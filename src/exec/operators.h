@@ -31,45 +31,29 @@
 
 namespace bornsql::exec {
 
-// A fully evaluated query result; also the unit stored for materialized
-// CTEs and subqueries.
-struct MaterializedResult {
-  Schema schema;
-  std::vector<Row> rows;
-};
-
 // Heterogeneous hash-key views (C++20 transparent lookup). Probe-side hash
 // lookups in joins, grouping, and DISTINCT hash and compare directly
-// against columnar key vectors (or a whole chunk row), so the steady-state
-// inner loop copies no Values and allocates nothing; a key is materialized
-// as a Row only the first time it is inserted. View hashing must stay
-// bit-identical to HashRow() over the materialized key.
-// Columnar key vectors by reference: entry k points either at the input
-// chunk's own column (bare column key — no copy at all) or at a scratch
-// vector holding a computed key expression's values.
-using KeyColumnRefs = std::vector<const std::vector<Value>*>;
-
+// against columnar key vectors, so the steady-state inner loop copies no
+// Values and allocates nothing; a key is materialized as a Row only the
+// first time it is inserted. View hashing must stay bit-identical to
+// HashRow() over the materialized key. The key columns come from
+// EvalExprs: entry k points either at the input chunk's own column (bare
+// column key — no copy at all) or at a scratch vector holding a computed
+// key expression's values.
 struct ColsKeyView {
   const KeyColumnRefs* cols;  // (*cols)[k]->at(row) = key part k
-  size_t row;
-};
-struct ChunkKeyView {
-  const DataChunk* chunk;  // the whole chunk row is the key (DISTINCT)
   size_t row;
 };
 struct RowKeyHash {
   using is_transparent = void;
   size_t operator()(const Row& key) const { return HashRow(key); }
   size_t operator()(const ColsKeyView& v) const;
-  size_t operator()(const ChunkKeyView& v) const;
 };
 struct RowKeyEq {
   using is_transparent = void;
   bool operator()(const Row& a, const Row& b) const;
   bool operator()(const Row& a, const ColsKeyView& b) const;
   bool operator()(const ColsKeyView& a, const Row& b) const;
-  bool operator()(const Row& a, const ChunkKeyView& b) const;
-  bool operator()(const ChunkKeyView& a, const Row& b) const;
 };
 
 // Read-only view of one bound expression an operator evaluates at runtime,
@@ -264,27 +248,33 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-// Drains `op` into a MaterializedResult (calls Open first).
-Result<MaterializedResult> Drain(Operator& op);
-
 // A query result kept in its chunked columnar form: the operator's output
-// chunks verbatim, no per-row materialization. Consumers that need Rows
-// (the statement result buffer, INSERT ... SELECT) build each row once by
-// moving values out of the buffered columns.
+// chunks verbatim, no per-row materialization. The statement result
+// buffer builds each client row once by moving values out of the columns.
 struct MaterializedChunks {
   Schema schema;
   std::vector<DataChunk> chunks;
   size_t row_count = 0;
+
+  // DataChunk::ApproxRowBytes summed over the chunks.
+  uint64_t ApproxRowBytes() const;
 };
 
-// Chunked variant of Drain (calls Open first).
+// Drains `op` into its output chunks (calls Open first).
 Result<MaterializedChunks> DrainChunks(Operator& op);
 
-// Shared emission helper for operators that serve from a materialized
-// std::vector<Row>: emits up to `vector_size` rows starting at *pos into
-// `out` (Reset to `width` columns). Returns false when *pos is at the end.
-bool EmitRowRange(const std::vector<Row>& rows, size_t* pos, size_t width,
-                  size_t vector_size, DataChunk* out);
+// Serves a buffer an operator filled at Open: moves its rows [*pos, *pos +
+// vector_size) into `out` (Reset to the buffer's width) and advances *pos.
+// Returns false when *pos is at the end.
+bool EmitSlice(DataChunk* rows, size_t* pos, size_t vector_size,
+               DataChunk* out);
+
+// An operator's input buffered at Open: its rows in one chunk, and its key
+// expressions' values over them (keys[k][i] is row i's key k).
+struct KeyedRows {
+  DataChunk rows;
+  std::vector<std::vector<Value>> keys;
+};
 
 // Emits a single empty row; used for FROM-less SELECTs.
 class SingleRowOp : public Operator {
@@ -346,38 +336,33 @@ class SeqScanOp : public Operator {
   size_t pos_ = 0;
 };
 
-// Scans an already-materialized result (CTE or cached subquery).
+// Serves a buffer of rows made at Open() as chunk slices: a fixed result,
+// served again on every Open, or in a subclass the rows its Produce()
+// makes (a system view's snapshot, VALUES rows, a write's count).
 class MaterializedScanOp : public Operator {
  public:
-  MaterializedScanOp(std::shared_ptr<const MaterializedResult> data,
-                     Schema schema)
-      : data_(std::move(data)), schema_(std::move(schema)) {}
+  MaterializedScanOp(DataChunk rows, Schema schema)
+      : fixed_(std::move(rows)), schema_(std::move(schema)) {}
   const Schema& schema() const override { return schema_; }
-  std::string DebugString() const override { return StrFormat("MaterializedScan(%zu rows)", data_->rows.size()); }
+  std::string DebugString() const override { return StrFormat("MaterializedScan(%zu rows)", fixed_.size()); }
 
  protected:
-  Status OpenImpl() override {
-    pos_ = 0;
-    // Re-Open releases the prior charge first; the shared CTE buffer is
-    // charged per scan, a deliberate overcount for shared results.
-    ReleaseMemory();
-    for (const Row& row : data_->rows) {
-      BORNSQL_RETURN_IF_ERROR(ChargeMemory(obs::ApproxRowBytes(row)));
-    }
-    RecordPeakEntries(data_->rows.size());
-    return FlushMemory();
+  explicit MaterializedScanOp(Schema schema) : schema_(std::move(schema)) {}
+  // Fills `rows`, Reset to the schema's width, with the rows Open serves.
+  virtual Status Produce(DataChunk* rows) {
+    rows->AppendRange(fixed_, 0, fixed_.size());
+    return Status::OK();
   }
-  Result<bool> NextImpl(DataChunk* out) override {
-    return EmitRowRange(data_->rows, &pos_, schema_.size(), vector_size(),
-                        out);
+  Status OpenImpl() final;
+  Result<bool> NextImpl(DataChunk* out) final {
+    return EmitSlice(&rows_, &pos_, vector_size(), out);
   }
-
-  // Subclasses that produce their rows at Open() set this before calling
-  // MaterializedScanOp::OpenImpl().
-  std::shared_ptr<const MaterializedResult> data_;
+  void ReleaseImpl() override { rows_ = DataChunk(); }
 
  private:
+  DataChunk fixed_;
   Schema schema_;
+  DataChunk rows_;
   size_t pos_ = 0;
 };
 
@@ -387,10 +372,10 @@ class MaterializedScanOp : public Operator {
 // sees updated counters, exactly like pg_stat_statements.
 class SystemViewScanOp : public MaterializedScanOp {
  public:
-  using Generator = std::function<Result<MaterializedResult>()>;
+  using Generator = std::function<Result<std::vector<Row>>()>;
 
   SystemViewScanOp(std::string view_name, Generator generator, Schema schema)
-      : MaterializedScanOp(nullptr, std::move(schema)),
+      : MaterializedScanOp(std::move(schema)),
         view_name_(std::move(view_name)),
         generator_(std::move(generator)) {}
   std::string DebugString() const override {
@@ -398,10 +383,11 @@ class SystemViewScanOp : public MaterializedScanOp {
   }
 
  protected:
-  Status OpenImpl() override {
-    BORNSQL_ASSIGN_OR_RETURN(MaterializedResult data, generator_());
-    data_ = std::make_shared<const MaterializedResult>(std::move(data));
-    return MaterializedScanOp::OpenImpl();
+  // Transposes the snapshot into columns.
+  Status Produce(DataChunk* rows) override {
+    BORNSQL_ASSIGN_OR_RETURN(std::vector<Row> snapshot, generator_());
+    for (Row& row : snapshot) rows->AppendRow(std::move(row));
+    return Status::OK();
   }
 
  private:
@@ -442,6 +428,7 @@ class ProjectOp : public Operator {
   ProjectOp(OperatorPtr child, std::vector<BoundExprPtr> exprs, Schema schema)
       : child_(std::move(child)),
         exprs_(std::move(exprs)),
+        expr_list_(ExprList(exprs_)),
         schema_(std::move(schema)) {
     // Precompute which output expressions are bare input columns: those
     // bypass the evaluator at Next time, and the last reference to each
@@ -479,8 +466,11 @@ class ProjectOp : public Operator {
 
   OperatorPtr child_;
   std::vector<BoundExprPtr> exprs_;
+  std::vector<const BoundExpr*> expr_list_;
   Schema schema_;
   DataChunk input_;  // refilled from the child per pull
+  std::vector<std::vector<Value>> scratch_;  // computed columns, per chunk
+  KeyColumnRefs cols_;
   std::vector<size_t> bare_cols_;   // input column index, or kNotBare
   std::vector<bool> last_col_ref_;  // expr j is the last ref to its column
 };
@@ -490,8 +480,8 @@ enum class JoinType { kInner, kLeft, kCross };
 // Equi hash join: builds on the right input, probes with the left.
 // Output row = left columns ++ right columns. NULL keys never match.
 // The build side is consumed chunk-at-a-time with columnar key evaluation;
-// the probe side evaluates a whole chunk of keys at once, then emits
-// concatenated match rows until the output chunk fills.
+// the probe side evaluates a whole chunk of keys at once, then gathers its
+// (probe row, build row) pairs until the output chunk fills.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right,
@@ -520,26 +510,24 @@ class HashJoinOp : public Operator {
   }
 
  private:
-  // An unmatched probe row in a LEFT join: NULL-pad the build columns.
-  static constexpr uint32_t kNoMatch = static_cast<uint32_t>(-1);
-
   // Computes the match list for probe_chunk_ row probe_row_.
   void BeginProbeRow();
-  // Gathers the buffered (probe row, build row) pairs into `out`,
-  // column-wise, and clears the buffer. Must run before probe_chunk_ is
-  // replaced (the pair indices point into it).
+  // Gathers the pending pairs into `out` and clears them. Must run before
+  // probe_chunk_ is replaced (the pair indices point into it).
   void FlushPairs(DataChunk* out);
 
   OperatorPtr left_;
   OperatorPtr right_;
   std::vector<BoundExprPtr> left_keys_;
   std::vector<BoundExprPtr> right_keys_;
+  std::vector<const BoundExpr*> probe_exprs_;  // left_keys_
   JoinType type_;
   Schema schema_;
 
-  // Pending output rows as (probe row, build row) index pairs. Emission is
-  // deferred so the copies run column-at-a-time over the whole batch.
-  std::vector<std::pair<uint32_t, uint32_t>> pairs_;
+  // Pending output rows as (probe row, build row or kNoRow) index pairs.
+  // Emission is deferred so the copies run column-at-a-time over the whole
+  // batch.
+  std::vector<RowPair> pairs_;
 
   // Build side stored columnar: one chunk holding every (non-NULL-key)
   // build row, indexed by position. Avoids a heap-allocated Row per build
@@ -562,9 +550,10 @@ class HashJoinOp : public Operator {
 };
 
 // Sort-merge equi join (inner / left). Used as an alternative strategy in
-// the "different DBMS" ablation. Both inputs are materialized with
-// columnar key evaluation; the merge itself steps row by row (NextRow) and
-// the chunked NextImpl buffers its output.
+// the "different DBMS" ablation. Open buffers both inputs with their key
+// columns, stable-sorts a permutation of each, and merges the two into
+// (left row, right row) pairs: left-major in key order, each right group
+// in input order. NextImpl gathers the pairs a chunk at a time.
 class SortMergeJoinOp : public Operator {
  public:
   SortMergeJoinOp(OperatorPtr left, OperatorPtr right,
@@ -587,11 +576,13 @@ class SortMergeJoinOp : public Operator {
  protected:
   Status OpenImpl() override;
   Result<bool> NextImpl(DataChunk* out) override;
+  void ReleaseImpl() override {
+    lrows_ = {};
+    rrows_ = {};
+    pairs_ = {};
+  }
 
  private:
-  // One merge step of the textbook row-at-a-time algorithm.
-  Result<bool> NextRow(Row* out);
-
   OperatorPtr left_;
   OperatorPtr right_;
   std::vector<BoundExprPtr> left_keys_;
@@ -599,18 +590,19 @@ class SortMergeJoinOp : public Operator {
   JoinType type_;
   Schema schema_;
 
-  // Materialized inputs with precomputed keys, sorted by key.
-  std::vector<std::pair<Row, Row>> lrows_;  // (key, row)
-  std::vector<std::pair<Row, Row>> rrows_;
-  size_t li_ = 0, rgroup_begin_ = 0, rgroup_end_ = 0, rj_ = 0;
-  bool in_group_ = false;
+  KeyedRows lrows_;
+  KeyedRows rrows_;
+  std::vector<RowPair> pairs_;  // the join's rows, in output order
+  size_t pos_ = 0;              // next pair to emit
 };
 
 // Nested-loop join with an optional residual predicate evaluated over the
 // concatenated row. Handles cross joins and non-equi conditions. The right
-// side is materialized and the left side streams in chunks; each left
-// row's (left ++ right) candidate pairs are gathered in order, up to the
-// output chunk's room, and the predicate evaluates over them at once.
+// side is buffered in one chunk and the left side streams in chunks; each
+// left row's (left ++ right) candidate pairs are gathered in order, up to
+// the output chunk's room, and the predicate evaluates over them at once.
+// The passing pairs (and a LEFT join's NULL-padded misses) gather into the
+// output chunk together.
 class NestedLoopJoinOp : public Operator {
  public:
   NestedLoopJoinOp(OperatorPtr left, OperatorPtr right, BoundExprPtr predicate,
@@ -628,6 +620,7 @@ class NestedLoopJoinOp : public Operator {
  protected:
   Status OpenImpl() override;
   Result<bool> NextImpl(DataChunk* out) override;
+  void ReleaseImpl() override { right_rows_ = {}; }
 
  private:
   OperatorPtr left_;
@@ -636,24 +629,24 @@ class NestedLoopJoinOp : public Operator {
   JoinType type_;
   Schema schema_;
 
-  std::vector<Row> right_rows_;
+  KeyedRows right_rows_;  // the right input, buffered; no keys
   DataChunk left_chunk_;
-  size_t left_row_ = 0;  // current row within left_chunk_
-  size_t right_pos_ = 0;
-  bool have_left_ = false;
+  size_t left_row_ = 0;   // current row within left_chunk_
+  size_t right_pos_ = 0;  // its next right row
   bool left_matched_ = false;
   bool left_done_ = false;  // left input exhausted; never re-pull it
-  DataChunk candidates_;    // (left ++ right) pairs awaiting the predicate
+  std::vector<RowPair> pairs_;  // output rows awaiting the gather
+  DataChunk candidates_;        // (left ++ right) pairs awaiting the predicate
   std::vector<Value> pred_vals_;
-  SelectionVector sel_;
 };
 
 // Index nested-loop join (inner): streams `outer` in chunks, probing a
 // secondary hash index on `inner_table` per outer row (keys evaluated
-// columnar per chunk). With `inner_on_left` the output row is
-// inner ++ outer (so the op can replace a join whose build side was the
-// indexed table without disturbing downstream column indexes); otherwise
-// outer ++ inner.
+// columnar per chunk), and gathers the (outer row, table row) pairs: the
+// outer columns from the chunk, the inner ones from the table's rows. With
+// `inner_on_left` the output row is inner ++ outer (so the op can replace
+// a join whose build side was the indexed table without disturbing
+// downstream column indexes); otherwise outer ++ inner.
 class IndexJoinOp : public Operator {
  public:
   IndexJoinOp(OperatorPtr outer, const storage::Table* inner_table,
@@ -675,12 +668,16 @@ class IndexJoinOp : public Operator {
  private:
   // Probes the index for outer_chunk_ row outer_row_.
   void BeginOuterRow();
+  // Gathers the pending pairs into `out` and clears them. Must run before
+  // outer_chunk_ is replaced (the pair indices point into it).
+  void FlushPairs(DataChunk* out);
 
   OperatorPtr outer_;
   const storage::Table* inner_table_;
   Schema inner_schema_;
   size_t index_id_;
   std::vector<BoundExprPtr> outer_keys_;
+  std::vector<const BoundExpr*> outer_exprs_;  // outer_keys_
   bool inner_on_left_;
   Schema schema_;
 
@@ -691,6 +688,7 @@ class IndexJoinOp : public Operator {
   std::vector<size_t> matches_;  // index matches of the outer row
   size_t match_pos_ = 0;         // cursor within matches_
   bool outer_done_ = false;      // outer input exhausted; never re-pull it
+  std::vector<RowPair> pairs_;   // (outer row, table row) awaiting the gather
 };
 
 struct AggSpec {
@@ -732,9 +730,12 @@ class HashAggOp : public Operator {
   std::vector<BoundExprPtr> group_exprs_;
   std::vector<AggSpec> aggs_;
   Schema schema_;
+  // What each input chunk evaluates: the group keys, then every
+  // aggregate's argument (null for COUNT(*)).
+  std::vector<const BoundExpr*> exprs_;
 
-  // Finalized groups, columnar (key parts then aggregate values); NextImpl
-  // serves contiguous slices of it.
+  // The groups, columnar: key parts, written as each group first appears,
+  // then the finalized aggregate values. NextImpl serves slices of it.
   DataChunk results_;
   size_t pos_ = 0;
 };
@@ -744,10 +745,12 @@ struct SortKey {
   bool desc = false;
 };
 
+// Buffers its input with the key columns, stable-sorts a permutation of
+// the rows (ties keep input order), gathers the rows in that order, and
+// serves them as slices.
 class SortOp : public Operator {
  public:
-  SortOp(OperatorPtr child, std::vector<SortKey> keys)
-      : child_(std::move(child)), keys_(std::move(keys)) {}
+  SortOp(OperatorPtr child, std::vector<SortKey> keys);
   const Schema& schema() const override { return child_->schema(); }
   std::string DebugString() const override { return StrFormat("Sort(%zu keys)", keys_.size()); }
   std::vector<Operator*> children() const override { return {child_.get()}; }
@@ -760,11 +763,14 @@ class SortOp : public Operator {
  protected:
   Status OpenImpl() override;
   Result<bool> NextImpl(DataChunk* out) override;
+  void ReleaseImpl() override { rows_ = DataChunk(); }
 
  private:
   OperatorPtr child_;
   std::vector<SortKey> keys_;
-  std::vector<Row> rows_;
+  std::vector<const BoundExpr*> key_exprs_;
+  std::vector<bool> desc_;  // per key
+  DataChunk rows_;          // the sorted rows
   size_t pos_ = 0;
 };
 
@@ -834,6 +840,7 @@ class DistinctOp : public Operator {
   OperatorPtr child_;
   std::unordered_map<Row, bool, RowKeyHash, RowKeyEq> seen_;
   DataChunk input_;
+  KeyColumnRefs cols_;  // every column of input_: the whole row is the key
   SelectionVector sel_;
 };
 
@@ -873,12 +880,17 @@ class WindowOp : public Operator {
  protected:
   Status OpenImpl() override;
   Result<bool> NextImpl(DataChunk* out) override;
+  void ReleaseImpl() override { rows_ = DataChunk(); }
 
  private:
   OperatorPtr child_;
   std::vector<WindowSpec> specs_;
   Schema schema_;
-  std::vector<Row> rows_;  // child row ++ window columns
+  // Every spec's partition keys, then its order keys, in spec order; and
+  // which of them sort descending.
+  std::vector<const BoundExpr*> key_exprs_;
+  std::vector<bool> desc_;
+  DataChunk rows_;  // child columns ++ window columns, in input order
   size_t pos_ = 0;
 };
 

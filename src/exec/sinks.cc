@@ -30,31 +30,30 @@ Row TakeRow(DataChunk& chunk, size_t i, size_t width) {
 
 ValuesOp::ValuesOp(std::vector<std::vector<BoundExprPtr>> rows, size_t width)
     : MaterializedScanOp(
-          nullptr,
           Schema(std::vector<Column>(width, Column{"", "", ValueType::kNull}))),
       rows_(std::move(rows)) {}
 
-Status ValuesOp::OpenImpl() {
-  auto data = std::make_shared<MaterializedResult>();
+Status ValuesOp::Produce(DataChunk* rows) {
   DataChunk one_row;  // no columns, one row
   one_row.SetCardinality(1);
   std::vector<Value> v;
   for (const std::vector<BoundExprPtr>& exprs : rows_) {
-    Row& row = data->rows.emplace_back();
-    for (const BoundExprPtr& e : exprs) {
-      BORNSQL_RETURN_IF_ERROR(EvalChunk(*e, one_row, &v));
-      row.push_back(std::move(v[0]));
+    for (size_t c = 0; c < exprs.size(); ++c) {
+      BORNSQL_RETURN_IF_ERROR(EvalChunk(*exprs[c], one_row, &v));
+      rows->column(c).push_back(std::move(v[0]));
     }
   }
-  data_ = std::move(data);
-  return MaterializedScanOp::OpenImpl();
+  rows->SetCardinality(rows_.size());
+  return Status::OK();
 }
 
 WriteOp::WriteOp(OperatorPtr child, WriteSpec spec)
-    : MaterializedScanOp(nullptr, Schema({Column{"", "rows_affected",
-                                                  ValueType::kInt}})),
+    : MaterializedScanOp(
+          Schema({Column{"", "rows_affected", ValueType::kInt}})),
       child_(std::move(child)),
-      spec_(std::move(spec)) {}
+      spec_(std::move(spec)) {
+  for (const SetClause& set : spec_.sets) set_exprs_.push_back(set.second.get());
+}
 
 std::string WriteOp::DebugString() const {
   const char* name = spec_.target.c_str();
@@ -72,10 +71,9 @@ std::string WriteOp::DebugString() const {
   return "Write";
 }
 
-Status WriteOp::OpenImpl() {
+Status WriteOp::Produce(DataChunk* rows) {
   input_.clear();
   row_ids_.clear();
-  ReleaseMemory();
   size_t written = 0;
   if (spec_.kind == WriteKind::kCreateTableAs &&
       spec_.catalog->Exists(spec_.target)) {
@@ -99,18 +97,18 @@ Status WriteOp::OpenImpl() {
         }
         if (spec_.kind == WriteKind::kDelete) continue;
       }
-      BORNSQL_RETURN_IF_ERROR(
-          ChargeMemory(chunk.ApproxBytes() + chunk.size() * sizeof(Row)));
+      BORNSQL_RETURN_IF_ERROR(ChargeMemory(chunk.ApproxRowBytes()));
       input_.push_back(std::move(chunk));
     }
     BORNSQL_RETURN_IF_ERROR(FlushMemory());
     child_->Close(/*release=*/true);
     BORNSQL_ASSIGN_OR_RETURN(written, Write());
     input_.clear();
+    ReleaseMemory();
   }
-  data_ = std::make_shared<const MaterializedResult>(MaterializedResult{
-      schema(), {{Value::Int(static_cast<int64_t>(written))}}});
-  return MaterializedScanOp::OpenImpl();
+  rows->column(0).push_back(Value::Int(static_cast<int64_t>(written)));
+  rows->SetCardinality(1);
+  return Status::OK();
 }
 
 Result<size_t> WriteOp::Write() {
@@ -226,15 +224,16 @@ Status WriteOp::ApplyPending(size_t* written) {
 
 Status WriteOp::SetRows(DataChunk& chunk, std::vector<Row>* rows) {
   const Schema& schema = spec_.table->schema();
-  std::vector<std::vector<Value>> values(spec_.sets.size());
-  for (size_t s = 0; s < values.size(); ++s) {
-    BORNSQL_RETURN_IF_ERROR(
-        EvalChunk(*spec_.sets[s].second, chunk, &values[s]));
-  }
+  std::vector<std::vector<Value>> scratch;
+  KeyColumnRefs values;
+  BORNSQL_RETURN_IF_ERROR(EvalExprs(set_exprs_, chunk, &scratch, &values));
+  std::vector<Value> set(values.size());
   for (size_t i = 0; i < chunk.size(); ++i) {
+    // Copied out first: a bare column clause aliases the cells TakeRow moves.
+    for (size_t s = 0; s < values.size(); ++s) set[s] = (*values[s])[i];
     Row row = TakeRow(chunk, i, schema.size());
     for (size_t s = 0; s < values.size(); ++s) {
-      row[spec_.sets[s].first] = std::move(values[s][i]);
+      row[spec_.sets[s].first] = std::move(set[s]);
     }
     BORNSQL_RETURN_IF_ERROR(CoerceRow(schema, &row));
     rows->push_back(std::move(row));

@@ -18,7 +18,8 @@
 namespace bornsql::exec {
 
 // The rows of INSERT ... VALUES: one bound expression per cell, bound to
-// no columns, each evaluated over a 1-row chunk when the scan opens.
+// no columns, each evaluated over a 1-row chunk into its column when the
+// scan opens, row by row.
 class ValuesOp : public MaterializedScanOp {
  public:
   ValuesOp(std::vector<std::vector<BoundExprPtr>> rows, size_t width);
@@ -27,7 +28,7 @@ class ValuesOp : public MaterializedScanOp {
   }
 
  protected:
-  Status OpenImpl() override;
+  Status Produce(DataChunk* rows) override;
 
  private:
   std::vector<std::vector<BoundExprPtr>> rows_;
@@ -58,7 +59,8 @@ struct WriteSpec {
 };
 
 // Emits one row, the number of rows written (QueryResult::rows_affected),
-// as a scan of a 1-row result.
+// as a scan of a 1-row result. The input is drained, charged and written
+// in Produce; its charge is released once the write is done.
 class WriteOp : public MaterializedScanOp {
  public:
   WriteOp(OperatorPtr child, WriteSpec spec);
@@ -77,7 +79,7 @@ class WriteOp : public MaterializedScanOp {
   }
 
  protected:
-  Status OpenImpl() override;
+  Status Produce(DataChunk* rows) override;
 
  private:
   // Writes the drained input; returns the rows written.
@@ -91,6 +93,7 @@ class WriteOp : public MaterializedScanOp {
 
   OperatorPtr child_;
   WriteSpec spec_;
+  std::vector<const BoundExpr*> set_exprs_;  // spec_.sets' expressions
   std::vector<DataChunk> input_;
   std::vector<size_t> row_ids_;  // all DELETE keeps of its input
   // ON CONFLICT DO UPDATE: (existing ++ excluded) pairs awaiting their SET

@@ -117,17 +117,10 @@ exec::OperatorPtr Server::ServingViews::MakeViewScan(
   Schema schema = base->WithQualifier(qualifier);
   const Server* server = server_;
   exec::SystemViewScanOp::Generator generator =
-      [server, lower, schema]() -> Result<exec::MaterializedResult> {
-    exec::MaterializedResult result;
-    result.schema = schema;
-    if (lower == kStatPrepared) {
-      result.rows = PreparedRows(*server);
-    } else if (lower == kStatSessions) {
-      result.rows = SessionsRows(*server);
-    } else {
-      result.rows = PlanCacheRows(*server);
-    }
-    return result;
+      [server, lower]() -> Result<std::vector<Row>> {
+    if (lower == kStatPrepared) return PreparedRows(*server);
+    if (lower == kStatSessions) return SessionsRows(*server);
+    return PlanCacheRows(*server);
   };
   return std::make_unique<exec::SystemViewScanOp>(lower, std::move(generator),
                                                   std::move(schema));

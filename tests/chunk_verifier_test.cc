@@ -28,17 +28,12 @@ namespace bornsql::lint {
 namespace {
 
 using exec::DataChunk;
-using exec::MaterializedResult;
 using exec::Operator;
 using exec::OperatorPtr;
 using testing::MustQuery;
 
 OperatorPtr Rows(Schema schema, std::vector<Row> rows) {
-  auto data = std::make_shared<MaterializedResult>();
-  data->schema = schema;
-  data->rows = std::move(rows);
-  return std::make_unique<exec::MaterializedScanOp>(std::move(data),
-                                                    std::move(schema));
+  return testing::RowsScan(std::move(schema), std::move(rows));
 }
 
 Schema IntCol() {
@@ -245,9 +240,9 @@ TEST(ChunkVerifierLifecycleTest, CleanDrainCountsChunksRowsAndChecks) {
                         exec::BoundLiteral(Value::Int(1)));
   filter.SetVectorSize(16);
   filter.SetExecVerifier(&verifier);
-  auto result = exec::Drain(filter);
+  auto result = testing::DrainRows(filter);
   BORNSQL_ASSERT_OK(result.status());
-  EXPECT_EQ(result->rows.size(), 100u);
+  EXPECT_EQ(result->size(), 100u);
   const ChunkVerifierStats& stats = verifier.stats();
   EXPECT_EQ(stats.violations, 0u);
   // Two operators, 100 rows in 16-row chunks: 7 produced chunks each plus

@@ -103,6 +103,27 @@ TEST(CsvLoadTest, ColumnCountMismatchFails) {
   EXPECT_FALSE(LoadCsv(&db, "u", "a,b\n1\n").ok());  // ragged row
 }
 
+// An import is one INSERT through the write sink: it runs under the
+// statement memory budget, and a failing import writes no row.
+TEST(CsvLoadTest, ImportRunsUnderTheMemoryLimit) {
+  Database db;
+  BORNSQL_ASSERT_OK(db.ExecuteScript("CREATE TABLE v (a INTEGER, b TEXT)"));
+  BORNSQL_ASSERT_OK(db.Execute("SET born.memory_limit = 1").status());
+  auto loaded = LoadCsv(&db, "v", "a,b\n1,x\n2,y\n3,z\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kResourceExhausted)
+      << loaded.status().ToString();
+  BORNSQL_ASSERT_OK(db.Execute("SET born.memory_limit = 0").status());
+  EXPECT_EQ(MustQuery(db, "SELECT COUNT(*) FROM v").rows[0][0].AsInt(), 0);
+}
+
+TEST(CsvLoadTest, RaggedRowLoadsNothing) {
+  Database db;
+  BORNSQL_ASSERT_OK(db.ExecuteScript("CREATE TABLE v (a INTEGER, b TEXT)"));
+  EXPECT_FALSE(LoadCsv(&db, "v", "a,b\n1,x\n2,y\n3\n4,w\n").ok());
+  EXPECT_EQ(MustQuery(db, "SELECT COUNT(*) FROM v").rows[0][0].AsInt(), 0);
+}
+
 TEST(CsvLoadTest, HeaderlessUsesPositionalNames) {
   Database db;
   CsvOptions options;

@@ -6,8 +6,10 @@
 // changes execution granularity, never results (DESIGN.md section 14).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,17 +38,13 @@ Schema TwoCols(const char* qualifier, const char* a, const char* b) {
 }
 
 OperatorPtr Rows(Schema schema, std::vector<Row> rows) {
-  auto data = std::make_shared<MaterializedResult>();
-  data->schema = schema;
-  data->rows = std::move(rows);
-  return std::make_unique<MaterializedScanOp>(std::move(data),
-                                              std::move(schema));
+  return testing::RowsScan(std::move(schema), std::move(rows));
 }
 
 std::vector<Row> MustDrain(Operator& op) {
-  auto result = Drain(op);
+  auto result = testing::DrainRows(op);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? std::move(result->rows) : std::vector<Row>{};
+  return result.ok() ? std::move(*result) : std::vector<Row>{};
 }
 
 // Drains `op` at the given vector size and returns the rows.
@@ -386,11 +384,11 @@ TEST(ExecChunkTest, EvalChunkReportsTheFirstFailingRow) {
 
   ProjectOp chunked = make_project();
   chunked.SetVectorSize(2048);
-  const Status chunked_status = Drain(chunked).status();
+  const Status chunked_status = testing::DrainRows(chunked).status();
 
   ProjectOp scalar = make_project();
   scalar.SetVectorSize(1);
-  const Status scalar_status = Drain(scalar).status();
+  const Status scalar_status = testing::DrainRows(scalar).status();
 
   ASSERT_FALSE(chunked_status.ok());
   ASSERT_FALSE(scalar_status.ok());
@@ -415,10 +413,10 @@ std::vector<std::string> ProjectSql(const std::string& sql, const char* a,
   exprs.push_back(std::move(*bound));
   ProjectOp project(Rows(schema, rows), std::move(exprs), OneCol("", "p"));
   project.SetVectorSize(vector_size);
-  auto drained = Drain(project);
+  auto drained = testing::DrainRows(project);
   if (!drained.ok()) return {drained.status().ToString()};
   std::vector<std::string> out;
-  for (const Row& row : drained->rows) out.push_back(row[0].ToString());
+  for (const Row& row : *drained) out.push_back(row[0].ToString());
   return out;
 }
 
@@ -476,6 +474,156 @@ TEST(ExecChunkTest, ErrorsComeFromTheFirstFailingRowAtEverySize) {
     EXPECT_NE(got[0].find("'b'"), std::string::npos)
         << got[0] << " at vector_size=" << vs;
   }
+  // Across an operator's expressions too: x + 1 fails on ('a', 1) before
+  // y + 1 fails on (1, 'b') expression at a time, but row at a time
+  // (1, 'b') fails first, in each operator that evaluates several.
+  const char* const kStatements[] = {
+      "SELECT x + 1, y + 1 FROM t",                                // Project
+      "SELECT x + 1, COUNT(*) FROM t GROUP BY x + 1, y + 1",  // group keys
+      "SELECT SUM(x + 1), SUM(y + 1) FROM t",          // aggregate arguments
+      "SELECT x, ROW_NUMBER() OVER (PARTITION BY x + 1 ORDER BY y + 1) "
+      "FROM t",                                                // window keys
+      "SELECT COUNT(*) FROM t JOIN u ON t.x + 1 = u.a AND t.y + 1 = u.b",
+      "SELECT x FROM t ORDER BY x + 1, y + 1",                   // sort keys
+  };
+  for (size_t vs : kLazySizes) {
+    engine::Database db;
+    BORNSQL_ASSERT_OK(db.ExecuteScript(
+        "CREATE TABLE t (x, y); INSERT INTO t VALUES (1, 'b'), ('a', 1);"
+        "CREATE TABLE u (a, b); INSERT INTO u VALUES (2, 2);"));
+    BORNSQL_ASSERT_OK(
+        db.Execute("SET born.vector_size = " + std::to_string(vs)).status());
+    for (const char* sql : kStatements) {
+      auto result = db.Execute(sql);
+      ASSERT_FALSE(result.ok()) << sql;
+      EXPECT_NE(result.status().ToString().find("'b'"), std::string::npos)
+          << sql << ": " << result.status().ToString()
+          << " at vector_size=" << vs;
+    }
+  }
+}
+
+// Sort, Window and the sort-merge join keep their documented order at
+// every vector size: std::stable_sort over the input rows by
+// Value::Compare, ties in input order.
+TEST(ExecChunkTest, SortWindowAndMergeOrderMatchStableSortAtEverySize) {
+  // k mixes INTEGER, REAL, TEXT and NULL, with ties; j breaks some of
+  // them; column 2 tags each row with its input position.
+  const std::vector<Value> ks = {
+      Value::Int(2),      Value::Text("b"), Value::Null(),    Value::Double(1.5),
+      Value::Int(2),      Value::Text("a"), Value::Int(1),    Value::Null(),
+      Value::Double(2.0), Value::Text("b"), Value::Int(-3),   Value::Double(1.5)};
+  std::vector<Row> input;
+  for (size_t i = 0; i < ks.size(); ++i) {
+    input.push_back({ks[i], Value::Int(static_cast<int64_t>(i % 3)),
+                     Value::Int(static_cast<int64_t>(i))});
+  }
+  Schema schema = TwoCols("t", "k", "j");
+  schema.Add(Column{"t", "tag", ValueType::kNull});
+  const auto tags = [](const std::vector<Row>& rows) {
+    std::vector<int64_t> out;
+    for (const Row& r : rows) out.push_back(r[2].AsInt());
+    return out;
+  };
+  // (key column, descending) lists: one key each way, then two keys.
+  const std::vector<std::vector<std::pair<size_t, bool>>> orders = {
+      {{0, false}}, {{0, true}}, {{0, false}, {1, true}}, {{1, true}, {0, false}}};
+  for (const auto& order : orders) {
+    std::vector<Row> expected = input;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](const Row& a, const Row& b) {
+                       for (const auto& [col, desc] : order) {
+                         const int c = Value::Compare(a[col], b[col]);
+                         if (c != 0) return desc ? c > 0 : c < 0;
+                       }
+                       return false;
+                     });
+    for (size_t vs : kLazySizes) {
+      std::vector<SortKey> keys;
+      for (const auto& [col, desc] : order) {
+        keys.push_back(SortKey{BoundColumn(col), desc});
+      }
+      SortOp sort(Rows(schema, input), std::move(keys));
+      EXPECT_EQ(tags(DrainAt(sort, vs)), tags(expected))
+          << "vector_size=" << vs;
+    }
+  }
+
+  // ROW_NUMBER, RANK and DENSE_RANK over PARTITION BY j ORDER BY k: peers
+  // (equal k within a partition) number in input order.
+  std::vector<size_t> by_key(input.size());
+  std::iota(by_key.begin(), by_key.end(), size_t{0});
+  std::stable_sort(by_key.begin(), by_key.end(), [&](size_t a, size_t b) {
+    const int c = Value::Compare(input[a][1], input[b][1]);
+    return c != 0 ? c < 0 : Value::Compare(input[a][0], input[b][0]) < 0;
+  });
+  std::vector<std::vector<int64_t>> numbers(input.size());
+  for (size_t i = 0, row = 0, rank = 0, dense = 0; i < by_key.size(); ++i) {
+    const Row& cur = input[by_key[i]];
+    const bool same_part =
+        i > 0 && Value::Compare(cur[1], input[by_key[i - 1]][1]) == 0;
+    const bool peer =
+        same_part && Value::Compare(cur[0], input[by_key[i - 1]][0]) == 0;
+    row = same_part ? row + 1 : 1;
+    if (!same_part) dense = 0;
+    if (!peer) {
+      rank = row;
+      ++dense;
+    }
+    numbers[by_key[i]] = {static_cast<int64_t>(row),
+                          static_cast<int64_t>(rank),
+                          static_cast<int64_t>(dense)};
+  }
+  for (size_t vs : kLazySizes) {
+    std::vector<WindowSpec> specs;
+    for (WindowFunc f : {WindowFunc::kRowNumber, WindowFunc::kRank,
+                         WindowFunc::kDenseRank}) {
+      WindowSpec spec;
+      spec.func = f;
+      spec.partition_by.push_back(BoundColumn(1));
+      spec.order_by.push_back(SortKey{BoundColumn(0), false});
+      spec.output_name = "w";
+      specs.push_back(std::move(spec));
+    }
+    WindowOp window(Rows(schema, input), std::move(specs));
+    const std::vector<Row> rows = DrainAt(window, vs);
+    ASSERT_EQ(rows.size(), input.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i][2].AsInt(), static_cast<int64_t>(i));  // input order
+      EXPECT_EQ((std::vector<int64_t>{rows[i][3].AsInt(), rows[i][4].AsInt(),
+                                      rows[i][5].AsInt()}),
+                numbers[i])
+          << "row " << i << " at vector_size=" << vs;
+    }
+  }
+
+  // A sort-merge LEFT join on k, duplicate and NULL keys on both sides,
+  // gives the hash join's rows stably sorted on the left key: left rows in
+  // key order, each one's matches in right input order.
+  const std::vector<Row> right = {
+      {Value::Int(2), Value::Text("r0")},       {Value::Null(), Value::Text("r1")},
+      {Value::Text("b"), Value::Text("r2")},    {Value::Int(2), Value::Text("r3")},
+      {Value::Double(1.5), Value::Text("r4")},  {Value::Text("b"), Value::Text("r5")}};
+  for (size_t vs : kLazySizes) {
+    HashJoinOp hash(Rows(schema, input), Rows(TwoCols("u", "k", "r"), right),
+                    Keys(0), Keys(0), JoinType::kLeft);
+    std::vector<Row> expected = DrainAt(hash, vs);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Row& a, const Row& b) {
+                       return Value::Compare(a[0], b[0]) < 0;
+                     });
+    SortMergeJoinOp merge(Rows(schema, input),
+                          Rows(TwoCols("u", "k", "r"), right), Keys(0),
+                          Keys(0), JoinType::kLeft);
+    const std::vector<Row> got = DrainAt(merge, vs);
+    ASSERT_EQ(got.size(), expected.size()) << "vector_size=" << vs;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i][2].AsInt(), expected[i][2].AsInt())
+          << "row " << i << " at vector_size=" << vs;
+      EXPECT_EQ(got[i][4].ToString(), expected[i][4].ToString())
+          << "row " << i << " at vector_size=" << vs;
+    }
+  }
 }
 
 TEST(ExecChunkTest, DataChunkAppendHelpers) {
@@ -499,21 +647,33 @@ TEST(ExecChunkTest, DataChunkAppendHelpers) {
   ASSERT_EQ(sliced.size(), 2u);
   EXPECT_EQ(sliced.column(0)[0].AsInt(), 2);
 
-  // Concat with a null right side pads with NULLs (LEFT join emission).
-  DataChunk padded;
-  padded.Reset(3);
-  padded.AppendConcat(chunk, 0, nullptr, 1);
-  ASSERT_EQ(padded.size(), 1u);
-  EXPECT_TRUE(padded.column(2)[0].is_null());
+  // A permutation gathers in its own order.
+  DataChunk permuted;
+  permuted.Reset(2);
+  permuted.AppendSelected(chunk, {2, 0, 1});
+  ASSERT_EQ(permuted.size(), 3u);
+  EXPECT_EQ(permuted.column(0)[0].AsInt(), 3);
+  EXPECT_EQ(permuted.column(1)[2].AsText(), "b");
 
-  Row row = chunk.MaterializeRow(1);
-  ASSERT_EQ(row.size(), 2u);
-  EXPECT_EQ(row[1].AsText(), "b");
-
-  std::vector<Row> all;
-  chunk.AppendRowsTo(&all);
-  chunk.AppendRowsTo(&all);  // appends, never overwrites
-  EXPECT_EQ(all.size(), 6u);
+  // The pair gather: left row ++ right row per pair, a kNoRow right side
+  // padded with NULLs (LEFT join emission), rows repeating as pairs do.
+  DataChunk right;
+  right.Reset(1);
+  right.AppendRow({Value::Int(10)});
+  right.AppendRow({Value::Int(20)});
+  DataChunk joined;
+  joined.Reset(3);
+  const std::vector<RowPair> pairs = {{2, 1}, {0, kNoRow}, {2, 0}};
+  joined.AppendPairs(chunk, right, pairs);
+  joined.AppendPairs(chunk, right, std::span<const RowPair>(pairs).first(1));
+  ASSERT_EQ(joined.size(), 4u);  // appends, never overwrites
+  EXPECT_EQ(joined.column(0)[0].AsInt(), 3);
+  EXPECT_EQ(joined.column(1)[0].AsText(), "c");
+  EXPECT_EQ(joined.column(2)[0].AsInt(), 20);
+  EXPECT_EQ(joined.column(0)[1].AsInt(), 1);
+  EXPECT_TRUE(joined.column(2)[1].is_null());
+  EXPECT_EQ(joined.column(2)[2].AsInt(), 10);
+  EXPECT_EQ(joined.column(2)[3].AsInt(), 20);
 }
 
 }  // namespace

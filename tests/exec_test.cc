@@ -25,17 +25,13 @@ Schema TwoCols(const char* qualifier, const char* a, const char* b) {
 }
 
 OperatorPtr Rows(Schema schema, std::vector<Row> rows) {
-  auto data = std::make_shared<MaterializedResult>();
-  data->schema = schema;
-  data->rows = std::move(rows);
-  return std::make_unique<MaterializedScanOp>(std::move(data),
-                                              std::move(schema));
+  return testing::RowsScan(std::move(schema), std::move(rows));
 }
 
 std::vector<Row> MustDrain(Operator& op) {
-  auto result = Drain(op);
+  auto result = testing::DrainRows(op);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? std::move(result->rows) : std::vector<Row>{};
+  return result.ok() ? std::move(*result) : std::vector<Row>{};
 }
 
 TEST(ExecTest, SingleRowEmitsOnce) {

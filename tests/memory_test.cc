@@ -352,6 +352,41 @@ TEST(MemoryLimitTest, SystemViewScanTrips) {
                          "SystemViewScan");
 }
 
+// A subquery folded at plan time drains under a query tracker with the
+// statement's limit, and its result is charged as a statement result is.
+TEST(MemoryLimitTest, FoldedSubqueriesRunUnderTheStatementBudget) {
+  Database db;
+  std::string big = "CREATE TABLE big (v INTEGER, s TEXT);"
+                    "CREATE TABLE d (v INTEGER);"
+                    "INSERT INTO d VALUES (0),(1),(2),(3),(4),(5),(6),(7),"
+                    "(8),(9);INSERT INTO big VALUES ";
+  for (int i = 0; i < 10000; ++i) {
+    big += StrFormat("%s(%d, 's%d')", i > 0 ? "," : "", i, i);
+  }
+  BORNSQL_ASSERT_OK(db.ExecuteScript(big));
+  const std::string exists =
+      "SELECT COUNT(*) FROM d WHERE EXISTS (SELECT s FROM big ORDER BY s)";
+  const std::string in = "SELECT COUNT(*) FROM d WHERE v IN (SELECT v FROM big)";
+  BORNSQL_ASSERT_OK(db.Execute("SET born.memory_limit = 20000").status());
+  for (const std::string& sql : {exists, in}) {
+    auto result = db.Execute(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+        << sql << ": " << result.status().ToString();
+  }
+  auto derived =
+      db.Execute("SELECT COUNT(*) FROM (SELECT s FROM big ORDER BY s) AS q");
+  ASSERT_FALSE(derived.ok());
+  EXPECT_NE(derived.status().message().find("Sort(1 keys)"),
+            std::string::npos) << derived.status().ToString();
+  BORNSQL_ASSERT_OK(db.Execute("SET born.memory_limit = 0").status());
+  for (const std::string& sql : {exists, in}) {
+    QueryResult result = MustQuery(db, sql);
+    ASSERT_EQ(result.rows.size(), 1u) << sql;
+    EXPECT_EQ(result.rows[0][0].AsInt(), 10) << sql;
+  }
+}
+
 TEST(MemoryLimitTest, RejectsNegativeLimit) {
   Database db;
   auto result = db.Execute("SET born.memory_limit = -1");

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "exec/operators.h"
 
 namespace bornsql::testing {
 
@@ -49,6 +50,31 @@ inline std::vector<std::string> RowStrings(const engine::QueryResult& result,
   }
   if (sorted) std::sort(out.begin(), out.end());
   return out;
+}
+
+// A scan serving `rows` under `schema`, to drive operators directly.
+inline exec::OperatorPtr RowsScan(Schema schema, std::vector<Row> rows) {
+  exec::DataChunk chunk;
+  chunk.Reset(schema.size());
+  for (Row& row : rows) chunk.AppendRow(std::move(row));
+  return std::make_unique<exec::MaterializedScanOp>(std::move(chunk),
+                                                    std::move(schema));
+}
+
+// Opens and drains `op`, returning its rows in output order.
+inline Result<std::vector<Row>> DrainRows(exec::Operator& op) {
+  BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks data,
+                           exec::DrainChunks(op));
+  std::vector<Row> rows;
+  for (const exec::DataChunk& chunk : data.chunks) {
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      Row& row = rows.emplace_back();
+      for (size_t c = 0; c < chunk.column_count(); ++c) {
+        row.push_back(chunk.column(c)[i]);
+      }
+    }
+  }
+  return rows;
 }
 
 }  // namespace bornsql::testing

@@ -21,17 +21,13 @@ namespace {
 
 using ::bornsql::testing::MustQuery;
 using exec::BoundColumn;
-using exec::MaterializedResult;
-using exec::MaterializedScanOp;
 using exec::OperatorPtr;
 
 // A 2-column scan (a INTEGER, b TEXT) over no rows — the verifier is
 // static, so data is irrelevant.
 OperatorPtr MakeScan() {
-  auto data = std::make_shared<MaterializedResult>();
-  data->schema = Schema({{"t", "a", ValueType::kInt},
-                         {"t", "b", ValueType::kText}});
-  return std::make_unique<MaterializedScanOp>(data, data->schema);
+  return testing::RowsScan(
+      Schema({{"t", "a", ValueType::kInt}, {"t", "b", ValueType::kText}}), {});
 }
 
 std::vector<std::string> Codes(const std::vector<Diagnostic>& diags) {

@@ -432,8 +432,8 @@ QuerySpec GenerateQuery(Rng& rng) {
     q.distinct = rng.Bernoulli(0.2);
   }
 
-  // ORDER BY is legal everywhere here: results are compared as multisets,
-  // so this only exercises Sort placement, never the comparison.
+  // ORDER BY is legal everywhere here. Results are compared as multisets,
+  // and every SELECT lane also checks its rows come in the key's order.
   if (rng.Bernoulli(0.3)) {
     const size_t key = rng.Uniform(q.select_items.size());
     q.order_by.push_back(std::to_string(key + 1) +
@@ -597,8 +597,7 @@ std::vector<FuzzConfig> AllConfigs(size_t vector_size, bool verify_chunks) {
 namespace {
 
 // Canonical comparison key: every row rendered value-by-value, rows sorted
-// (results are compared as multisets -- ORDER BY is never part of the
-// contract here).
+// (results are compared as multisets; InOrder checks ORDER BY apart).
 std::string CanonicalRows(const engine::QueryResult& result) {
   std::vector<std::string> rows;
   rows.reserve(result.rows.size());
@@ -677,6 +676,33 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+// True unless lane `name` succeeded with rows out of q's ORDER BY order:
+// each row must follow the one before it by Value::Compare on the first
+// key that differs (non-increasing for DESC). Otherwise describes the
+// first pair out of order in *detail (when non-null).
+bool InOrder(const QuerySpec& q, const std::string& name,
+             const Result<engine::QueryResult>& result, std::string* detail) {
+  if (q.order_by.empty() || !result.ok()) return true;
+  const std::vector<Row>& rows = result->rows;
+  for (size_t i = 1; i < rows.size(); ++i) {
+    for (const std::string& item : q.order_by) {
+      const size_t col = std::stoul(item) - 1;  // "N" or "N DESC"
+      int c = Value::Compare(rows[i - 1][col], rows[i][col]);
+      if (EndsWith(item, " DESC")) c = -c;
+      if (c < 0) break;
+      if (c == 0) continue;
+      if (detail != nullptr) {
+        *detail = "order violation in " + name + ": row " +
+                  std::to_string(i) + " (" + rows[i][col].ToString() +
+                  ") follows " + rows[i - 1][col].ToString() +
+                  " under ORDER BY " + item;
+      }
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 DifferentialRunner::DifferentialRunner(size_t vector_size, bool verify_chunks)
@@ -709,21 +735,23 @@ DifferentialRunner::DifferentialRunner(size_t vector_size, bool verify_chunks)
 bool DifferentialRunner::Check(const QuerySpec& spec, std::string* detail) {
   const std::string sql = RenderQuery(spec);
   const std::string& base_name = configs_[0].name;
-  const Outcome base = OutcomeOf(dbs_[0]->Execute(sql));
+  const Result<engine::QueryResult> base_result = dbs_[0]->Execute(sql);
+  if (!InOrder(spec, base_name, base_result, detail)) return false;
+  const Outcome base = OutcomeOf(base_result);
+  // A SELECT lane keeps the ORDER BY and agrees with the baseline.
+  const auto lane_ok = [&](const std::string& name,
+                           const Result<engine::QueryResult>& result) {
+    return InOrder(spec, name, result, detail) &&
+           Agrees(base_name, base, name, OutcomeOf(result), detail);
+  };
   for (size_t i = 1; i < dbs_.size(); ++i) {
-    if (!Agrees(base_name, base, configs_[i].name,
-                OutcomeOf(dbs_[i]->Execute(sql)), detail)) {
-      return false;
-    }
+    if (!lane_ok(configs_[i].name, dbs_[i]->Execute(sql))) return false;
   }
   // Serving lane: run the query twice through the session. The first run
   // misses the plan cache and inserts (auto-parameterized), the second is
   // served from it; both must agree with the baseline.
   for (const char* lane : {"serving/uncached", "serving/cached"}) {
-    if (!Agrees(base_name, base, lane, OutcomeOf(session_->Execute(sql)),
-                detail)) {
-      return false;
-    }
+    if (!lane_ok(lane, session_->Execute(sql))) return false;
   }
   // Write lane: the baseline and the vector1 lanes write the query's rows
   // through CREATE TABLE ... AS and INSERT ... SELECT, and must read back
