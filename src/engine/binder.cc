@@ -56,19 +56,22 @@ Status WithLoc(const Status& st, const sql::SourceLoc& loc) {
                                      loc.column));
 }
 
-Result<BoundExprPtr> BindExprImpl(const sql::Expr& e, const Schema& schema);
+Result<BoundExprPtr> BindExprImpl(const sql::Expr& e, const Schema& schema,
+                                  std::span<const Value> args);
 
 }  // namespace
 
-Result<BoundExprPtr> BindExpr(const sql::Expr& e, const Schema& schema) {
-  auto r = BindExprImpl(e, schema);
+Result<BoundExprPtr> BindExpr(const sql::Expr& e, const Schema& schema,
+                              std::span<const Value> args) {
+  auto r = BindExprImpl(e, schema, args);
   if (!r.ok()) return WithLoc(r.status(), e.loc);
   return r;
 }
 
 namespace {
 
-Result<BoundExprPtr> BindExprImpl(const sql::Expr& e, const Schema& schema) {
+Result<BoundExprPtr> BindExprImpl(const sql::Expr& e, const Schema& schema,
+                                  std::span<const Value> args) {
   auto out = std::make_unique<BoundExpr>();
   switch (e.kind) {
     case sql::ExprKind::kLiteral:
@@ -85,15 +88,17 @@ Result<BoundExprPtr> BindExprImpl(const sql::Expr& e, const Schema& schema) {
     case sql::ExprKind::kUnary: {
       out->kind = BoundKind::kUnary;
       out->unary_op = LowerUnary(e.unary_op);
-      BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr child, BindExpr(*e.left, schema));
+      BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr child,
+                               BindExpr(*e.left, schema, args));
       out->children.push_back(std::move(child));
       return out;
     }
     case sql::ExprKind::kBinary: {
       out->kind = BoundKind::kBinary;
       out->binary_op = LowerBinary(e.binary_op);
-      BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr l, BindExpr(*e.left, schema));
-      BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr r, BindExpr(*e.right, schema));
+      BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr l, BindExpr(*e.left, schema, args));
+      BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr r,
+                               BindExpr(*e.right, schema, args));
       out->children.push_back(std::move(l));
       out->children.push_back(std::move(r));
       return out;
@@ -110,7 +115,7 @@ Result<BoundExprPtr> BindExprImpl(const sql::Expr& e, const Schema& schema) {
       out->kind = BoundKind::kCall;
       out->func = func;
       for (const auto& arg : e.args) {
-        BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*arg, schema));
+        BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*arg, schema, args));
         out->children.push_back(std::move(b));
       }
       return out;
@@ -123,14 +128,14 @@ Result<BoundExprPtr> BindExprImpl(const sql::Expr& e, const Schema& schema) {
     case sql::ExprKind::kCase: {
       out->kind = BoundKind::kCase;
       for (const auto& [when, then] : e.when_clauses) {
-        BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr w, BindExpr(*when, schema));
-        BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr t, BindExpr(*then, schema));
+        BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr w, BindExpr(*when, schema, args));
+        BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr t, BindExpr(*then, schema, args));
         out->children.push_back(std::move(w));
         out->children.push_back(std::move(t));
       }
       if (e.else_clause) {
         BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr el,
-                                 BindExpr(*e.else_clause, schema));
+                                 BindExpr(*e.else_clause, schema, args));
         out->children.push_back(std::move(el));
         out->has_else = true;
       }
@@ -139,7 +144,8 @@ Result<BoundExprPtr> BindExprImpl(const sql::Expr& e, const Schema& schema) {
     case sql::ExprKind::kIsNull: {
       out->kind = BoundKind::kIsNull;
       out->negated = e.negated;
-      BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr child, BindExpr(*e.left, schema));
+      BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr child,
+                               BindExpr(*e.left, schema, args));
       out->children.push_back(std::move(child));
       return out;
     }
@@ -150,9 +156,20 @@ Result<BoundExprPtr> BindExprImpl(const sql::Expr& e, const Schema& schema) {
           "subqueries are only supported where the planner can fold them "
           "(uncorrelated, in SELECT/UPDATE/DELETE expressions)");
     case sql::ExprKind::kParameter:
-      // Parameters bind like literals (no schema dependency) so optimizer
-      // rules treat parameterized predicates exactly like constant ones;
-      // evaluation before substitution is an error (exec/evaluator.cc).
+      if (!args.empty()) {
+        if (e.param_index == 0 || e.param_index > args.size()) {
+          return Status::Internal(
+              StrFormat("parameter $%zu out of range (have %zu arguments)",
+                        e.param_index, args.size()));
+        }
+        out->kind = BoundKind::kLiteral;
+        out->literal = args[e.param_index - 1];
+        return out;
+      }
+      // Without arguments a parameter binds like a literal (no schema
+      // dependency) so optimizer rules treat parameterized predicates
+      // exactly like constant ones; evaluating it is an error
+      // (exec/evaluator.cc).
       out->kind = BoundKind::kParameter;
       out->column_index = e.param_index;
       return out;
@@ -160,7 +177,7 @@ Result<BoundExprPtr> BindExprImpl(const sql::Expr& e, const Schema& schema) {
       out->kind = BoundKind::kInSet;
       out->negated = e.negated;
       BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr subject,
-                               BindExpr(*e.left, schema));
+                               BindExpr(*e.left, schema, args));
       out->children.push_back(std::move(subject));
       auto set = std::make_shared<exec::ValueSet>();
       for (const Value& v : e.set_values) {
@@ -177,10 +194,10 @@ Result<BoundExprPtr> BindExprImpl(const sql::Expr& e, const Schema& schema) {
       out->kind = BoundKind::kInList;
       out->negated = e.negated;
       BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr subject,
-                               BindExpr(*e.left, schema));
+                               BindExpr(*e.left, schema, args));
       out->children.push_back(std::move(subject));
       for (const auto& item : e.args) {
-        BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*item, schema));
+        BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*item, schema, args));
         out->children.push_back(std::move(b));
       }
       return out;
@@ -321,8 +338,10 @@ bool ContainsWindow(const sql::Expr& e) {
   return false;
 }
 
-Result<Value> EvalConstExpr(const sql::Expr& expr) {
-  BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr bound, BindExpr(expr, Schema()));
+Result<Value> EvalConstExpr(const sql::Expr& expr,
+                            std::span<const Value> args) {
+  BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr bound,
+                           BindExpr(expr, Schema(), args));
   exec::DataChunk one_row;  // no columns, one row
   one_row.SetCardinality(1);
   std::vector<Value> out;

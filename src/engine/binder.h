@@ -4,19 +4,24 @@
 #ifndef BORNSQL_ENGINE_BINDER_H_
 #define BORNSQL_ENGINE_BINDER_H_
 
+#include <span>
 #include <vector>
 
 #include "common/status.h"
 #include "exec/evaluator.h"
 #include "sql/ast.h"
 #include "types/schema.h"
+#include "types/value.h"
 
 namespace bornsql::engine {
 
 // Binds `expr` against `schema`. Aggregate and window calls are rejected:
 // the planner rewrites them into plain column references before binding.
+// `args` are the statement's arguments: with any, `$n` binds to the
+// literal args[n-1]; without, it stays a BoundKind::kParameter placeholder.
 Result<exec::BoundExprPtr> BindExpr(const sql::Expr& expr,
-                                    const Schema& schema);
+                                    const Schema& schema,
+                                    std::span<const Value> args = {});
 
 // True if `expr` binds against `schema` without error (used for predicate
 // placement during join planning).
@@ -34,8 +39,10 @@ bool ContainsAggregate(const sql::Expr& expr);
 // True if the tree contains a window function node.
 bool ContainsWindow(const sql::Expr& expr);
 
-// Evaluates a constant expression (no column references).
-Result<Value> EvalConstExpr(const sql::Expr& expr);
+// Evaluates a constant expression (no column references); `$n` reads
+// args[n-1].
+Result<Value> EvalConstExpr(const sql::Expr& expr,
+                            std::span<const Value> args = {});
 
 // True if `e` is `lhs = rhs` with lhs bindable to `left` and rhs to `right`
 // (or flipped); outputs the side-ordered subexpressions. Shared by the

@@ -8,7 +8,6 @@
 #include "common/strings.h"
 #include "engine/binder.h"
 #include "engine/optimizer.h"
-#include "engine/parameters.h"
 #include "engine/sql_text.h"
 #include "exec/operators.h"
 #include "lint/linter.h"
@@ -214,10 +213,11 @@ Status Database::ExecuteScript(std::string_view sql) {
 }
 
 Result<QueryResult> Database::ExecuteParsed(const sql::Statement& stmt,
-                                            std::string key) {
+                                            std::string key,
+                                            const std::vector<Value>& args) {
   StatementContext ctx = BeginStatement(std::move(key));
   return ExecuteTracked(stmt.kind, &ctx, [&](obs::PlanStatsNode* profile) {
-    return DispatchStatement(stmt, profile);
+    return DispatchStatement(stmt, profile, args);
   });
 }
 
@@ -237,19 +237,10 @@ Result<QueryResult> Database::ExecuteCachedPlan(
   return ExecuteTracked(
       sql::StatementKind::kSelect, &ctx,
       [&](obs::PlanStatsNode* profile) -> Result<QueryResult> {
-        // The clone dies once lowered, as PlanSelect's plan does: the tree
-        // then owns its CTE cells alone, so they release their memory
-        // before ExecPlan's tracker dies.
-        exec::OperatorPtr tree;
-        {
-          const uint64_t subst_start = PhaseStart(active_trace_);
-          plan::LogicalPlan plan = plan::ClonePlanDeep(cached);
-          BORNSQL_RETURN_IF_ERROR(SubstituteParamsInPlan(&plan, args));
-          AddPhaseSpan(active_trace_, "substitute", subst_start);
-          const uint64_t lower_start = PhaseStart(active_trace_);
-          BORNSQL_ASSIGN_OR_RETURN(tree, MakePlanner().LowerLogical(plan));
-          AddPhaseSpan(active_trace_, "lower", lower_start);
-        }
+        const uint64_t lower_start = PhaseStart(active_trace_);
+        BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr tree,
+                                 MakePlanner(args).LowerLogical(cached));
+        AddPhaseSpan(active_trace_, "lower", lower_start);
         BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks data,
                                  ExecPlan(std::move(tree), profile));
         return ToQueryResult(std::move(data));
@@ -340,8 +331,9 @@ Status Database::ExportTrace(const std::string& path) const {
 }
 
 Result<QueryResult> Database::DispatchStatement(const sql::Statement& stmt,
-                                                obs::PlanStatsNode* profile) {
-  if (HasPlan(stmt)) return RunPlanned(stmt, profile);
+                                                obs::PlanStatsNode* profile,
+                                                std::span<const Value> args) {
+  if (HasPlan(stmt)) return RunPlanned(stmt, profile, args);
   if (stmt.kind == sql::StatementKind::kExplain) return RunExplain(stmt);
   // The rest run no operator: a profiled one reports its described root,
   // without stats. The root is described before the statement runs.
@@ -376,10 +368,11 @@ exec::OperatorPtr Database::ComposedViews::MakeViewScan(
   return db_->system_views_.MakeViewScan(name, qualifier);
 }
 
-Planner Database::MakePlanner() {
+Planner Database::MakePlanner(std::span<const Value> args) {
   Planner planner(catalog_, &config_, &composed_views_, &opt_stats_, &trace_,
                   active_trace_);
   planner.set_memory_budget(mem_parent_, query_mem_limit_);
+  planner.set_arguments(args);
   return planner;
 }
 
@@ -515,12 +508,13 @@ Result<QueryResult> Database::RunSet(const sql::SetStmt& stmt) {
 }
 
 Result<QueryResult> Database::RunPlanned(const sql::Statement& stmt,
-                                         obs::PlanStatsNode* profile) {
+                                         obs::PlanStatsNode* profile,
+                                         std::span<const Value> args) {
   // Binding interleaves with planning in this engine (the planner calls the
   // binder per expression), so the trace gets one merged bind+plan span.
   const uint64_t plan_start = PhaseStart(active_trace_);
   BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr tree,
-                           MakePlanner().PlanStatement(stmt));
+                           MakePlanner(args).PlanStatement(stmt));
   AddPhaseSpan(active_trace_, "bind+plan", plan_start);
   BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks data,
                            ExecPlan(std::move(tree), profile));

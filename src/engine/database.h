@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -98,9 +99,11 @@ class Database {
   // ---- serving hooks (serve/session.h) ----
 
   // Executes an already-parsed statement under a caller-chosen statement-
-  // stats key (sessions prefix keys for per-session attribution).
+  // stats key (sessions prefix keys for per-session attribution). `args`
+  // are the statement's arguments: its planner binds `$n` to args[n-1].
   Result<QueryResult> ExecuteParsed(const sql::Statement& stmt,
-                                    std::string key);
+                                    std::string key,
+                                    const std::vector<Value>& args = {});
 
   // Builds and rule-optimizes the logical plan of a SELECT without lowering
   // or executing it — the artifact the serving plan cache stores. The plan
@@ -108,10 +111,12 @@ class Database {
   // the binder treats them like literals.
   Result<plan::LogicalPlan> BuildOptimizedPlan(const sql::SelectStmt& stmt);
 
-  // EXECUTE hot path on a cache hit: deep-clones `cached`, substitutes
-  // `args` for its placeholders, lowers and runs it. The statement trace
-  // records only substitute / lower / execute phase spans — lex, parse and
-  // bind+plan are exactly what the hit skipped.
+  // EXECUTE hot path on a cache hit: lowers `cached` with `args` bound to
+  // its placeholders and runs it. `cached` is only read, never copied, so
+  // sessions may share it; the lowered tree owns its CTE cells alone and
+  // frees them before the query's memory tracker dies. The statement trace
+  // records only lower / execute phase spans — lex, parse and bind+plan are
+  // exactly what the hit skipped.
   Result<QueryResult> ExecuteCachedPlan(const plan::LogicalPlan& cached,
                                         const std::vector<Value>& args,
                                         std::string key);
@@ -227,17 +232,19 @@ class Database {
                                      StatementContext* ctx,
                                      const StatementBody& body);
   // The kind switch. A statement that produces or writes rows runs as an
-  // operator tree (RunPlanned); DDL and SET run as direct calls, and a
-  // profiled one reports DescribeRoot's node without stats.
+  // operator tree (RunPlanned, binding `args`); DDL and SET run as direct
+  // calls, and a profiled one reports DescribeRoot's node without stats.
   Result<QueryResult> DispatchStatement(const sql::Statement& stmt,
-                                        obs::PlanStatsNode* profile);
+                                        obs::PlanStatsNode* profile,
+                                        std::span<const Value> args = {});
 
-  // Plans `stmt` (one bind+plan span) and runs it through ExecPlan: SELECT
-  // returns its rows, and a write sink's count becomes rows_affected.
-  // `profile` non-null requests instrumentation; the annotated plan is
-  // stored there after execution.
+  // Plans `stmt` with `args` (one bind+plan span) and runs it through
+  // ExecPlan: SELECT returns its rows, and a write sink's count becomes
+  // rows_affected. `profile` non-null requests instrumentation; the
+  // annotated plan is stored there after execution.
   Result<QueryResult> RunPlanned(const sql::Statement& stmt,
-                                 obs::PlanStatsNode* profile);
+                                 obs::PlanStatsNode* profile,
+                                 std::span<const Value> args);
   // The exec core of every planned statement, cached or not: runs the
   // operator tree under the query's memory budget and accounts for it
   // (verifiers, stats, result-buffer charge, peak bytes, metrics, operator
@@ -266,8 +273,8 @@ class Database {
   Result<QueryResult> RunSet(const sql::SetStmt& stmt);
 
   // Builds a Planner wired to this database's optimizer stats and (when a
-  // statement trace is active) the trace recorder.
-  Planner MakePlanner();
+  // statement trace is active) the trace recorder, binding `args`.
+  Planner MakePlanner(std::span<const Value> args = {});
   // The diagnostic appended to EXPLAIN / EXPLAIN LOGICAL output when
   // use_index_joins cannot take effect under the configured join strategy;
   // empty when the setting is honored.

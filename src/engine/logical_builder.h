@@ -21,6 +21,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "obs/optimizer_stats.h"
 #include "plan/logical_plan.h"
 #include "sql/ast.h"
+#include "types/value.h"
 
 namespace bornsql::engine {
 
@@ -50,14 +52,19 @@ struct LogicalBuildHooks {
 
 class LogicalBuilder {
  public:
+  // `args` are the statement's arguments, read where the builder
+  // const-evaluates (LIMIT and OFFSET); everywhere else `$n` stays in the
+  // plan for lowering to bind.
   LogicalBuilder(catalog::Catalog* catalog, const EngineConfig* config,
                  const SystemCatalog* system_views,
-                 obs::OptimizerStatsRegistry* stats, LogicalBuildHooks hooks)
+                 obs::OptimizerStatsRegistry* stats, LogicalBuildHooks hooks,
+                 std::span<const Value> args = {})
       : catalog_(catalog),
         config_(config),
         system_views_(system_views),
         stats_(stats),
-        hooks_(std::move(hooks)) {}
+        hooks_(std::move(hooks)),
+        args_(args) {}
 
   // Builds the logical plan for `stmt`. `plan.ctes` holds the bindings
   // reachable from the root, in first-reference order.
@@ -65,7 +72,8 @@ class LogicalBuilder {
 
   // Evaluates every uncorrelated subquery inside `expr` (via the execute
   // hook) and folds the result into the tree: scalar subqueries become
-  // literals, EXISTS becomes a boolean, IN (SELECT ...) a constant set.
+  // literals, EXISTS becomes a boolean, IN (SELECT ...) a constant set. An
+  // EXISTS subquery runs under a Limit(1): its first row decides it.
   Status FoldSubqueries(sql::Expr* expr);
 
  private:
@@ -92,6 +100,7 @@ class LogicalBuilder {
   const SystemCatalog* system_views_;  // may be null (no system views)
   obs::OptimizerStatsRegistry* stats_;  // may be null (stats not collected)
   LogicalBuildHooks hooks_;
+  std::span<const Value> args_;
   std::vector<CteScope> cte_scopes_;
 };
 

@@ -9,6 +9,22 @@
 
 namespace bornsql::engine {
 
+// The first gate to Open() drains `plan` into `data`; later gates of the
+// same tree reuse the buffer. The buffer keeps the body's output chunks in
+// columnar form, so every scan serves chunks with contiguous column copies
+// instead of re-materializing rows.
+struct LoweredCte {
+  exec::OperatorPtr plan;
+  // The body's output chunks verbatim: the first gate to Open() steals them
+  // wholesale from the plan (no per-value work), and every gate re-emits
+  // them as slices.
+  std::shared_ptr<exec::MaterializedChunks> data;
+  // Total charge for scanning `data`, computed once when the buffer is
+  // filled: per row, sizeof(Row) plus the row's ApproxValueBytes. Every
+  // gate charges this sum instead of re-walking the buffer per Open.
+  uint64_t data_bytes = 0;
+};
+
 using exec::BoundExprPtr;
 using exec::Operator;
 using exec::OperatorPtr;
@@ -47,7 +63,7 @@ class RelabelOp : public Operator {
 // runs the CTE's plan; later gates (and re-opens) reuse the rows.
 class CteGateOp : public Operator {
  public:
-  CteGateOp(std::shared_ptr<plan::LoweredCte> cell, std::string qualifier)
+  CteGateOp(std::shared_ptr<LoweredCte> cell, std::string qualifier)
       : cell_(std::move(cell)),
         schema_(cell_->plan->schema().WithQualifier(qualifier)) {}
   const Schema& schema() const override { return schema_; }
@@ -101,7 +117,7 @@ class CteGateOp : public Operator {
   }
 
  private:
-  std::shared_ptr<plan::LoweredCte> cell_;
+  std::shared_ptr<LoweredCte> cell_;
   Schema schema_;
   size_t pos_ = 0;  // index of the next buffered chunk to emit
 };
@@ -173,17 +189,17 @@ Result<OperatorPtr> Lowering::MakeKeyedJoin(OperatorPtr left,
 Result<OperatorPtr> Lowering::LowerJoin(const LogicalNode& node) {
   const LogicalNode& lchild = *node.children[0];
   const LogicalNode& rchild = *node.children[1];
-  BORNSQL_ASSIGN_OR_RETURN(OperatorPtr left, Lower(lchild));
-  BORNSQL_ASSIGN_OR_RETURN(OperatorPtr right, Lower(rchild));
+  BORNSQL_ASSIGN_OR_RETURN(OperatorPtr left, LowerNode(lchild));
+  BORNSQL_ASSIGN_OR_RETURN(OperatorPtr right, LowerNode(rchild));
 
   if (!node.keys.empty()) {
     std::vector<BoundExprPtr> lkeys;
     std::vector<BoundExprPtr> rkeys;
     for (const plan::JoinKeyPair& k : node.keys) {
       BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr bl,
-                               BindExpr(*k.left, left->schema()));
+                               BindExpr(*k.left, left->schema(), args_));
       BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr br,
-                               BindExpr(*k.right, right->schema()));
+                               BindExpr(*k.right, right->schema(), args_));
       lkeys.push_back(std::move(bl));
       rkeys.push_back(std::move(br));
     }
@@ -226,8 +242,8 @@ Result<OperatorPtr> Lowering::LowerJoin(const LogicalNode& node) {
     BoundExprPtr pred;
     if (node.on_condition != nullptr) {
       Schema combined = Schema::Concat(left->schema(), right->schema());
-      BORNSQL_ASSIGN_OR_RETURN(pred,
-                               BindExpr(*node.on_condition, combined));
+      BORNSQL_ASSIGN_OR_RETURN(
+          pred, BindExpr(*node.on_condition, combined, args_));
     }
     return OperatorPtr(std::make_unique<exec::NestedLoopJoinOp>(
         std::move(left), std::move(right), std::move(pred),
@@ -238,6 +254,12 @@ Result<OperatorPtr> Lowering::LowerJoin(const LogicalNode& node) {
 }
 
 Result<OperatorPtr> Lowering::Lower(const LogicalNode& node) {
+  Result<OperatorPtr> tree = LowerNode(node);
+  cells_.clear();
+  return tree;
+}
+
+Result<OperatorPtr> Lowering::LowerNode(const LogicalNode& node) {
   switch (node.kind) {
     case LogicalKind::kScan: {
       if (node.is_system_view) {
@@ -259,19 +281,18 @@ Result<OperatorPtr> Lowering::Lower(const LogicalNode& node) {
         return Status::Internal("CteRef without a built body");
       }
       if (config_->materialize_ctes) {
-        if (node.cte->cell == nullptr) {
-          node.cte->cell = std::make_shared<plan::LoweredCte>();
-        }
-        if (node.cte->cell->plan == nullptr) {
-          BORNSQL_ASSIGN_OR_RETURN(node.cte->cell->plan,
-                                   Lower(*node.cte->plan));
+        auto it = cells_.find(node.cte.get());
+        if (it == cells_.end()) {
+          auto cell = std::make_shared<LoweredCte>();
+          BORNSQL_ASSIGN_OR_RETURN(cell->plan, LowerNode(*node.cte->plan));
+          it = cells_.emplace(node.cte.get(), std::move(cell)).first;
         }
         return OperatorPtr(
-            std::make_unique<CteGateOp>(node.cte->cell, node.qualifier));
+            std::make_unique<CteGateOp>(it->second, node.qualifier));
       }
       // Inline mode normally removes CteRefs via the cte_inline rule;
       // re-lower the body per reference when one survives anyway.
-      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr sub, Lower(*node.cte->plan));
+      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr sub, LowerNode(*node.cte->plan));
       return OperatorPtr(
           std::make_unique<RelabelOp>(std::move(sub), node.qualifier));
     }
@@ -280,16 +301,16 @@ Result<OperatorPtr> Lowering::Lower(const LogicalNode& node) {
       return OperatorPtr(std::make_unique<exec::SingleRowOp>());
 
     case LogicalKind::kRelabel: {
-      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, Lower(*node.children[0]));
+      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, LowerNode(*node.children[0]));
       return OperatorPtr(
           std::make_unique<RelabelOp>(std::move(child), node.qualifier));
     }
 
     case LogicalKind::kFilter: {
-      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, Lower(*node.children[0]));
+      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, LowerNode(*node.children[0]));
       for (const sql::ExprPtr& c : node.conjuncts) {
         BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr pred,
-                                 BindExpr(*c, child->schema()));
+                                 BindExpr(*c, child->schema(), args_));
         child = std::make_unique<exec::FilterOp>(std::move(child),
                                                  std::move(pred));
       }
@@ -297,12 +318,12 @@ Result<OperatorPtr> Lowering::Lower(const LogicalNode& node) {
     }
 
     case LogicalKind::kProject: {
-      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, Lower(*node.children[0]));
+      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, LowerNode(*node.children[0]));
       std::vector<BoundExprPtr> exprs;
       for (const plan::ProjectItem& item : node.items) {
         if (item.expr != nullptr) {
-          BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b,
-                                   BindExpr(*item.expr, child->schema()));
+          BORNSQL_ASSIGN_OR_RETURN(
+              BoundExprPtr b, BindExpr(*item.expr, child->schema(), args_));
           exprs.push_back(std::move(b));
         } else {
           exprs.push_back(exec::BoundColumn(item.ordinal));
@@ -316,11 +337,12 @@ Result<OperatorPtr> Lowering::Lower(const LogicalNode& node) {
       return LowerJoin(node);
 
     case LogicalKind::kAggregate: {
-      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, Lower(*node.children[0]));
+      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, LowerNode(*node.children[0]));
       const Schema& in_schema = child->schema();
       std::vector<BoundExprPtr> bound_groups;
       for (const sql::ExprPtr& g : node.group_exprs) {
-        BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*g, in_schema));
+        BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b,
+                                 BindExpr(*g, in_schema, args_));
         bound_groups.push_back(std::move(b));
       }
       std::vector<exec::AggSpec> specs;
@@ -334,8 +356,8 @@ Result<OperatorPtr> Lowering::Lower(const LogicalNode& node) {
           spec.arg = nullptr;
         } else if (call->args.size() == 1) {
           spec.func = func;
-          BORNSQL_ASSIGN_OR_RETURN(spec.arg,
-                                   BindExpr(*call->args[0], in_schema));
+          BORNSQL_ASSIGN_OR_RETURN(
+              spec.arg, BindExpr(*call->args[0], in_schema, args_));
         } else {
           return Status::BindError("aggregate " + call->func_name +
                                    "() takes exactly one argument");
@@ -348,7 +370,7 @@ Result<OperatorPtr> Lowering::Lower(const LogicalNode& node) {
     }
 
     case LogicalKind::kWindow: {
-      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, Lower(*node.children[0]));
+      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, LowerNode(*node.children[0]));
       const Schema& in_schema = child->schema();
       std::vector<exec::WindowSpec> specs;
       for (const plan::WindowItem& item : node.windows) {
@@ -367,13 +389,15 @@ Result<OperatorPtr> Lowering::Lower(const LogicalNode& node) {
         }
         spec.output_name = item.output_name;
         for (const sql::ExprPtr& p : call.partition_by) {
-          BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*p, in_schema));
+          BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b,
+                                   BindExpr(*p, in_schema, args_));
           spec.partition_by.push_back(std::move(b));
         }
         for (const auto& [expr, desc] : call.window_order_by) {
           exec::SortKey key;
           key.desc = desc;
-          BORNSQL_ASSIGN_OR_RETURN(key.expr, BindExpr(*expr, in_schema));
+          BORNSQL_ASSIGN_OR_RETURN(key.expr,
+                                   BindExpr(*expr, in_schema, args_));
           spec.order_by.push_back(std::move(key));
         }
         specs.push_back(std::move(spec));
@@ -383,14 +407,14 @@ Result<OperatorPtr> Lowering::Lower(const LogicalNode& node) {
     }
 
     case LogicalKind::kSort: {
-      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, Lower(*node.children[0]));
+      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, LowerNode(*node.children[0]));
       std::vector<exec::SortKey> keys;
       for (const plan::SortKeySpec& spec : node.sort_keys) {
         exec::SortKey key;
         key.desc = spec.desc;
         if (spec.expr != nullptr) {
-          BORNSQL_ASSIGN_OR_RETURN(key.expr,
-                                   BindExpr(*spec.expr, child->schema()));
+          BORNSQL_ASSIGN_OR_RETURN(
+              key.expr, BindExpr(*spec.expr, child->schema(), args_));
         } else {
           key.expr = exec::BoundColumn(spec.ordinal);
         }
@@ -401,20 +425,20 @@ Result<OperatorPtr> Lowering::Lower(const LogicalNode& node) {
     }
 
     case LogicalKind::kLimit: {
-      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, Lower(*node.children[0]));
+      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, LowerNode(*node.children[0]));
       return OperatorPtr(std::make_unique<exec::LimitOp>(
           std::move(child), node.limit, node.offset));
     }
 
     case LogicalKind::kDistinct: {
-      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, Lower(*node.children[0]));
+      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, LowerNode(*node.children[0]));
       return OperatorPtr(std::make_unique<exec::DistinctOp>(std::move(child)));
     }
 
     case LogicalKind::kUnion: {
       std::vector<OperatorPtr> children;
       for (const plan::LogicalPtr& c : node.children) {
-        BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, Lower(*c));
+        BORNSQL_ASSIGN_OR_RETURN(OperatorPtr child, LowerNode(*c));
         children.push_back(std::move(child));
       }
       return OperatorPtr(

@@ -356,82 +356,6 @@ Result<std::vector<Value>> CoerceArguments(
   return args;
 }
 
-Status BindParameters(sql::Statement* stmt, const std::vector<Value>& args) {
-  Status st;
-  WalkStatement(stmt, [&](Expr* e, bool) {
-    if (e->kind != ExprKind::kParameter) return;
-    if (e->param_index == 0 || e->param_index > args.size()) {
-      if (st.ok()) {
-        st = Status::Internal(StrFormat(
-            "parameter $%zu out of range (have %zu arguments)",
-            e->param_index, args.size()));
-      }
-      return;
-    }
-    e->literal = args[e->param_index - 1];
-    e->kind = ExprKind::kLiteral;
-    e->param_index = 0;
-  });
-  return st;
-}
-
-namespace {
-
-// Substitutes parameters across every expression a logical node carries,
-// then recurses into children and (deduplicated) CTE bodies.
-void SubstExpr(Expr* e, const std::vector<Value>& args, Status* st) {
-  WalkExpr(e, false, [&](Expr* p, bool) {
-    if (p->kind != ExprKind::kParameter) return;
-    if (p->param_index == 0 || p->param_index > args.size()) {
-      if (st->ok()) {
-        *st = Status::Internal(StrFormat(
-            "parameter $%zu out of range (have %zu arguments)",
-            p->param_index, args.size()));
-      }
-      return;
-    }
-    p->literal = args[p->param_index - 1];
-    p->kind = ExprKind::kLiteral;
-    p->param_index = 0;
-  });
-}
-
-void SubstNode(plan::LogicalNode* n, const std::vector<Value>& args,
-               Status* st,
-               std::unordered_set<const plan::CteBinding*>* visited) {
-  if (n == nullptr) return;
-  for (auto& c : n->conjuncts) SubstExpr(c.get(), args, st);
-  for (auto& item : n->items) SubstExpr(item.expr.get(), args, st);
-  SubstExpr(n->on_condition.get(), args, st);
-  for (auto& key : n->keys) {
-    SubstExpr(key.left.get(), args, st);
-    SubstExpr(key.right.get(), args, st);
-  }
-  for (auto& g : n->group_exprs) SubstExpr(g.get(), args, st);
-  for (auto& a : n->agg_calls) SubstExpr(a.get(), args, st);
-  for (auto& w : n->windows) SubstExpr(w.call.get(), args, st);
-  for (auto& k : n->sort_keys) SubstExpr(k.expr.get(), args, st);
-  if (n->cte && visited->insert(n->cte.get()).second) {
-    SubstNode(n->cte->plan.get(), args, st, visited);
-  }
-  for (auto& child : n->children) SubstNode(child.get(), args, st, visited);
-}
-
-}  // namespace
-
-Status SubstituteParamsInPlan(plan::LogicalPlan* plan,
-                              const std::vector<Value>& args) {
-  Status st;
-  std::unordered_set<const plan::CteBinding*> visited;
-  SubstNode(plan->root.get(), args, &st, &visited);
-  for (auto& cte : plan->ctes) {
-    if (cte && visited.insert(cte.get()).second) {
-      SubstNode(cte->plan.get(), args, &st, &visited);
-    }
-  }
-  return st;
-}
-
 bool HasParameters(const sql::Statement& stmt) {
   bool found = false;
   WalkStatement(const_cast<Statement*>(&stmt), [&](Expr* e, bool) {
@@ -440,20 +364,18 @@ bool HasParameters(const sql::Statement& stmt) {
   return found;
 }
 
-bool ContainsSubqueryExpr(const sql::Statement& stmt) {
-  bool found = false;
-  WalkStatement(const_cast<Statement*>(&stmt), [&](Expr* e, bool) {
-    switch (e->kind) {
-      case ExprKind::kScalarSubquery:
-      case ExprKind::kInSubquery:
-      case ExprKind::kExists:
-        found = true;
-        break;
-      default:
-        break;
+bool IsCacheable(const sql::Statement& stmt) {
+  if (stmt.kind != sql::StatementKind::kSelect) return false;
+  bool cacheable = true;
+  WalkStatement(const_cast<Statement*>(&stmt), [&](Expr* e, bool os) {
+    const bool subquery = e->kind == ExprKind::kScalarSubquery ||
+                          e->kind == ExprKind::kInSubquery ||
+                          e->kind == ExprKind::kExists;
+    if (subquery || (os && e->kind == ExprKind::kParameter)) {
+      cacheable = false;
     }
   });
-  return found;
+  return cacheable;
 }
 
 size_t ParameterizeLiterals(sql::Statement* stmt, std::vector<Value>* args) {

@@ -9,13 +9,16 @@
 // context (INSERT column lists, UPDATE SET targets, comparisons against
 // catalog columns) so EXECUTE can coerce arguments up front and report
 // mismatches with the placeholder's line:column instead of failing mid-scan.
+// The statement itself is never rewritten: its arguments go to the planner,
+// which binds `$n` to the n-th one (engine/binder.h).
 //
 // The same walker powers the serving layer's plan cache (serve/plan_cache.h):
+// IsCacheable decides once, at PREPARE, whether a body's plan can be cached;
 // ParameterizeLiterals turns an ad-hoc SELECT into a parameterized template
 // (literals -> fresh `?` ordinals, except in ordinal-sensitive positions:
 // ORDER BY keys, LIMIT and OFFSET keep their literals, matching the builder
 // which resolves ORDER BY 2 positionally and const-evaluates LIMIT), and
-// KeptLiteralValues feeds the literals that stayed inline into the cache
+// KeptLiteralSuffix feeds the literals that stayed inline into the cache
 // key, so "ORDER BY 1" and "ORDER BY 2" never collide on the normalized
 // text "ORDER BY ?".
 #ifndef BORNSQL_ENGINE_PARAMETERS_H_
@@ -26,7 +29,6 @@
 
 #include "catalog/catalog.h"
 #include "common/status.h"
-#include "plan/logical_plan.h"
 #include "sql/ast.h"
 #include "types/value.h"
 
@@ -60,23 +62,15 @@ Result<std::vector<Value>> CoerceArguments(
     const std::vector<ParameterSlot>& slots, const std::string& name,
     std::vector<Value> args);
 
-// Replaces every kParameter in the statement with the corresponding
-// argument literal, in place. args[i] binds $i+1.
-Status BindParameters(sql::Statement* stmt, const std::vector<Value>& args);
-
-// Replaces every kParameter in a (deep-cloned) logical plan with the
-// corresponding argument literal, in place — the EXECUTE hot path, applied
-// after plan::ClonePlanDeep and before lowering.
-Status SubstituteParamsInPlan(plan::LogicalPlan* plan,
-                              const std::vector<Value>& args);
-
 // True when any expression in the statement is a placeholder.
 bool HasParameters(const sql::Statement& stmt);
 
-// True when any expression carries a subquery (scalar, IN, EXISTS). The
-// planner folds those by executing them at plan time, which embeds
-// data-dependent constants — such statements are never plan-cached.
-bool ContainsSubqueryExpr(const sql::Statement& stmt);
+// True when the plan cache can hold the statement's plan: a SELECT with no
+// expression subquery (scalar, IN, EXISTS: the planner folds those by
+// executing them at plan time, which embeds data-dependent constants) and
+// no placeholder in an ordinal-sensitive position (LIMIT and OFFSET, which
+// the builder const-evaluates, and ORDER BY keys).
+bool IsCacheable(const sql::Statement& stmt);
 
 // Auto-parameterization for ad-hoc SELECT caching: replaces source
 // literals (valid source span, non-NULL) with fresh `?` placeholders in

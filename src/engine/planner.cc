@@ -43,7 +43,7 @@ LogicalBuildHooks Planner::MakeHooks(bool optimize) {
     Optimizer opt(config_, opt_stats_, recorder_, trace_);
     opt.set_validation_log(validation_log_);
     BORNSQL_RETURN_IF_ERROR(opt.Run(root.get()));
-    Lowering lowering(config_, system_views_);
+    Lowering lowering(config_, system_views_, args_);
     // A query tracker as the statement's own, declared before the tree so
     // it outlives the operators' reservations; the folded result is
     // charged as a statement's result buffer is.
@@ -203,15 +203,15 @@ Result<BoundExprPtr> Planner::BindFolded(const sql::Expr& expr,
                                          const Schema& schema) {
   sql::ExprPtr folded = sql::CloneExpr(expr);
   LogicalBuilder builder(catalog_, config_, system_views_, opt_stats_,
-                         MakeHooks(/*optimize=*/true));
+                         MakeHooks(/*optimize=*/true), args_);
   BORNSQL_RETURN_IF_ERROR(builder.FoldSubqueries(folded.get()));
-  return BindExpr(*folded, schema);
+  return BindExpr(*folded, schema, args_);
 }
 
 Result<plan::LogicalPlan> Planner::BuildLogical(const sql::SelectStmt& stmt,
                                                 bool optimize_ctes) {
   LogicalBuilder builder(catalog_, config_, system_views_, opt_stats_,
-                         MakeHooks(optimize_ctes));
+                         MakeHooks(optimize_ctes), args_);
   return builder.Build(stmt);
 }
 
@@ -222,7 +222,7 @@ Status Planner::OptimizeLogical(plan::LogicalPlan* plan) {
 }
 
 Result<OperatorPtr> Planner::LowerLogical(const plan::LogicalPlan& plan) {
-  Lowering lowering(config_, system_views_);
+  Lowering lowering(config_, system_views_, args_);
   return lowering.Lower(*plan.root);
 }
 

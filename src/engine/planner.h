@@ -16,6 +16,7 @@
 #define BORNSQL_ENGINE_PLANNER_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "obs/trace.h"
 #include "plan/logical_plan.h"
 #include "sql/ast.h"
+#include "types/value.h"
 
 namespace bornsql::engine {
 
@@ -90,6 +92,12 @@ class Planner {
     mem_limit_ = limit;
   }
 
+  // The statement's arguments: `$n` binds to args[n-1] wherever this
+  // planner binds or const-evaluates (lowering, folded subqueries, DML
+  // expressions, LIMIT and OFFSET). None by default: placeholders then stay
+  // unbound, as in a plan built for the cache. Must outlive the planner.
+  void set_arguments(std::span<const Value> args) { args_ = args; }
+
  private:
   // Hook bundle for a LogicalBuilder. `optimize` controls whether CTE
   // bodies get the rule pipeline; the execute hook always runs full
@@ -118,6 +126,7 @@ class Planner {
   RewriteValidationLog* validation_log_ = nullptr;  // may be null
   obs::MemoryTracker* mem_parent_ = nullptr;        // may be null
   uint64_t mem_limit_ = 0;
+  std::span<const Value> args_;
 };
 
 }  // namespace bornsql::engine

@@ -473,7 +473,7 @@ Status EvalRows(const BoundExpr& e, const DataChunk& chunk,
       return Status::OK();
     case BoundKind::kParameter:
       return Status::Internal(StrFormat(
-          "parameter $%zu evaluated without substitution", e.column_index));
+          "parameter $%zu evaluated without an argument", e.column_index));
     case BoundKind::kColumn: {
       if (e.column_index >= chunk.column_count()) {
         return Status::Internal(

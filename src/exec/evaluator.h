@@ -29,7 +29,7 @@ enum class BoundKind {
   kIsNull,
   kInList,
   kInSet,   // subject IN <hashed constant set> (folded IN-subqueries)
-  kParameter,  // placeholder; must be substituted before evaluation
+  kParameter,  // unbound placeholder (bound without arguments); no value
 };
 
 struct ValueHash {

@@ -1,7 +1,5 @@
 #include "plan/logical_plan.h"
 
-#include <unordered_map>
-
 #include "common/strings.h"
 
 namespace bornsql::plan {
@@ -129,35 +127,7 @@ LogicalPtr MakeLogical(LogicalKind kind) {
   return node;
 }
 
-namespace {
-
-// Identity map for deep clones: each source CteBinding is cloned exactly
-// once, so several CteRefs to one binding keep sharing (the clone of) it.
-using CteRemap =
-    std::unordered_map<const CteBinding*, std::shared_ptr<CteBinding>>;
-
-LogicalPtr CloneNode(const LogicalNode& node, CteRemap* remap);
-
-std::shared_ptr<CteBinding> RemapBinding(
-    const std::shared_ptr<CteBinding>& binding, CteRemap* remap) {
-  if (binding == nullptr) return nullptr;
-  auto it = remap->find(binding.get());
-  if (it != remap->end()) return it->second;
-  auto copy = std::make_shared<CteBinding>();
-  // Insert before descending: a binding whose body references itself would
-  // otherwise recurse forever (the dialect has no recursive CTEs, but the
-  // map also dedups diamond references between bindings).
-  (*remap)[binding.get()] = copy;
-  copy->name = binding->name;
-  copy->stmt = binding->stmt;
-  if (binding->plan != nullptr) {
-    copy->plan = CloneNode(*binding->plan, remap);
-  }
-  copy->cell = nullptr;  // fresh lowering state per clone
-  return copy;
-}
-
-LogicalPtr CloneNode(const LogicalNode& node, CteRemap* remap) {
+LogicalPtr CloneLogical(const LogicalNode& node) {
   LogicalPtr out = MakeLogical(node.kind);
   out->loc = node.loc;
   out->schema = node.schema;
@@ -165,9 +135,7 @@ LogicalPtr CloneNode(const LogicalNode& node, CteRemap* remap) {
   out->is_system_view = node.is_system_view;
   out->table = node.table;
   out->qualifier = node.qualifier;
-  // Shallow clones share the binding on purpose (materialize-once cell);
-  // deep clones get a private binding with no lowered cell.
-  out->cte = remap == nullptr ? node.cte : RemapBinding(node.cte, remap);
+  out->cte = node.cte;
   for (const sql::ExprPtr& c : node.conjuncts) {
     out->conjuncts.push_back(sql::CloneExpr(*c));
   }
@@ -209,24 +177,7 @@ LogicalPtr CloneNode(const LogicalNode& node, CteRemap* remap) {
   out->limit = node.limit;
   out->offset = node.offset;
   for (const LogicalPtr& child : node.children) {
-    out->children.push_back(CloneNode(*child, remap));
-  }
-  return out;
-}
-
-}  // namespace
-
-LogicalPtr CloneLogical(const LogicalNode& node) {
-  return CloneNode(node, nullptr);
-}
-
-LogicalPlan ClonePlanDeep(const LogicalPlan& plan) {
-  LogicalPlan out;
-  CteRemap remap;
-  if (plan.root != nullptr) out.root = CloneNode(*plan.root, &remap);
-  out.ctes.reserve(plan.ctes.size());
-  for (const std::shared_ptr<CteBinding>& binding : plan.ctes) {
-    out.ctes.push_back(RemapBinding(binding, &remap));
+    out->children.push_back(CloneLogical(*child));
   }
   return out;
 }

@@ -14,6 +14,12 @@
 // move predicates and prune columns by rewriting trees of names, and the
 // lowering pass re-binds everything to column indices at the end, so no
 // rule ever has to fix up indices after a rewrite.
+//
+// The IR holds no physical state. Once the rules have run, a plan is
+// immutable: lowering only reads it (and keeps the CTE results of the one
+// tree it builds to itself), so the serving plan cache lowers one shared
+// plan from many sessions at once, and `$n` placeholders stay in the plan
+// until lowering binds them to the statement's arguments.
 #ifndef BORNSQL_PLAN_LOGICAL_PLAN_H_
 #define BORNSQL_PLAN_LOGICAL_PLAN_H_
 
@@ -31,16 +37,10 @@ namespace bornsql::plan {
 struct LogicalNode;
 using LogicalPtr = std::unique_ptr<LogicalNode>;
 
-// Physical state shared by every lowering of one CTE binding: the operator
-// tree (built once) and, in materialize mode, the result all gates share.
-// Defined in engine/lowering.cc; opaque at the IR layer.
-struct LoweredCte;
-
 // One WITH entry within one statement. Shared (shared_ptr) by every
-// CteRef that resolves to it, so the materialize-once discipline survives
-// both optimization and the planner's subquery folding: a subquery executed
-// at plan time lowers the binding into `cell`, and the outer query's gates
-// reuse the same cell (and therefore the same materialized rows).
+// CteRef that resolves to it, so a subquery folded at plan time and the
+// outer query read one body plan. Each lowered tree materializes the body
+// at most once (engine/lowering.h).
 struct CteBinding {
   std::string name;
   const sql::SelectStmt* stmt = nullptr;  // definition; not owned
@@ -48,8 +48,6 @@ struct CteBinding {
   // first reference, so a WITH entry that is never referenced is never
   // planned -- and never has the chance to fail.
   LogicalPtr plan;
-  // Lowered physical state, created on demand by the lowering pass.
-  std::shared_ptr<LoweredCte> cell;
 };
 
 enum class LogicalKind {
@@ -158,16 +156,8 @@ struct LogicalPlan {
 
 LogicalPtr MakeLogical(LogicalKind kind);
 
-// Deep copy. CteBindings are shared, not cloned (a clone must keep pointing
-// at the same materialize-once cell).
+// Deep copy of the tree. CteBindings are shared, not cloned.
 LogicalPtr CloneLogical(const LogicalNode& node);
-
-// Deep copy for plan caching: unlike CloneLogical, CteBindings are cloned
-// too (fresh body plan, no lowered cell), so re-lowering the copy cannot
-// mutate the cached original or share materialized CTE state with another
-// execution. Scan nodes keep their borrowed Table pointers; cache keys
-// embed the catalog version so a clone is never taken after DDL staled it.
-LogicalPlan ClonePlanDeep(const LogicalPlan& plan);
 
 // Recomputes `schema` bottom-up from the children for every node whose
 // schema is derived (joins, filters, projects, ...). Leaf schemas (Scan,

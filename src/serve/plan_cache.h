@@ -14,9 +14,9 @@
 //
 // A hit hands back a shared_ptr: the plan stays alive for the executing
 // session even if the entry is concurrently evicted. Executions never
-// mutate the cached plan — the hot path deep-clones it first
-// (plan::ClonePlanDeep), substitutes EXECUTE arguments into the clone, and
-// lowers that.
+// mutate or copy the cached plan — the hot path lowers it directly, with
+// the EXECUTE arguments bound during lowering, and each lowered tree keeps
+// its own CTE state, so sessions share one entry.
 //
 // Sharded by key hash so N serving threads touching disjoint statements
 // rarely contend on one mutex; counters are atomics shared across shards.

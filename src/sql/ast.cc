@@ -120,57 +120,4 @@ std::unique_ptr<SelectStmt> CloneSelect(const SelectStmt& s) {
   return out;
 }
 
-std::unique_ptr<Statement> CloneStatement(const Statement& s) {
-  auto out = std::make_unique<Statement>();
-  out->kind = s.kind;
-  switch (s.kind) {
-    case StatementKind::kSelect:
-      out->select = CloneSelect(*s.select);
-      return out;
-    case StatementKind::kInsert: {
-      auto ins = std::make_unique<InsertStmt>();
-      ins->table = s.insert->table;
-      ins->columns = s.insert->columns;
-      for (const auto& row : s.insert->values) {
-        std::vector<ExprPtr> cloned;
-        for (const auto& v : row) cloned.push_back(CloneExpr(*v));
-        ins->values.push_back(std::move(cloned));
-      }
-      if (s.insert->select) ins->select = CloneSelect(*s.insert->select);
-      if (s.insert->on_conflict) {
-        auto oc = std::make_unique<OnConflictClause>();
-        oc->target_columns = s.insert->on_conflict->target_columns;
-        oc->do_nothing = s.insert->on_conflict->do_nothing;
-        for (const auto& [col, expr] : s.insert->on_conflict->set_clauses) {
-          oc->set_clauses.emplace_back(col, CloneExpr(*expr));
-        }
-        ins->on_conflict = std::move(oc);
-      }
-      out->insert = std::move(ins);
-      return out;
-    }
-    case StatementKind::kUpdate: {
-      auto upd = std::make_unique<UpdateStmt>();
-      upd->table = s.update->table;
-      for (const auto& [col, expr] : s.update->set_clauses) {
-        upd->set_clauses.emplace_back(col, CloneExpr(*expr));
-      }
-      if (s.update->where) upd->where = CloneExpr(*s.update->where);
-      upd->loc = s.update->loc;
-      out->update = std::move(upd);
-      return out;
-    }
-    case StatementKind::kDelete: {
-      auto del = std::make_unique<DeleteStmt>();
-      del->table = s.del->table;
-      if (s.del->where) del->where = CloneExpr(*s.del->where);
-      del->loc = s.del->loc;
-      out->del = std::move(del);
-      return out;
-    }
-    default:
-      return nullptr;
-  }
-}
-
 }  // namespace bornsql::sql

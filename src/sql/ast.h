@@ -170,12 +170,6 @@ struct SelectStmt {
 std::unique_ptr<SelectStmt> CloneSelect(const SelectStmt& s);
 SelectCore CloneCore(const SelectCore& core);
 
-struct Statement;
-// Deep copy of a DML/query statement (kSelect/kInsert/kUpdate/kDelete only;
-// other kinds are not prepared and return nullptr). Used by the serving
-// layer to keep an owned parameterized AST alive alongside a cached plan.
-std::unique_ptr<Statement> CloneStatement(const Statement& s);
-
 // ---- Statements ----------------------------------------------------------
 
 struct ColumnDef {
@@ -250,8 +244,7 @@ struct PrepareStmt {
   SourceLoc loc;
   std::string name;
   std::unique_ptr<Statement> body;
-  SourceLoc body_loc;    // first token of the body, for slicing source text
-  std::string body_sql;  // original body text, filled by the serving layer
+  SourceLoc body_loc;  // first token of the body, for slicing source text
 };
 
 // EXECUTE <name>(arg, ...): runs a prepared statement with constant

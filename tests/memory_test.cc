@@ -368,6 +368,14 @@ TEST(MemoryLimitTest, FoldedSubqueriesRunUnderTheStatementBudget) {
       "SELECT COUNT(*) FROM d WHERE EXISTS (SELECT s FROM big ORDER BY s)";
   const std::string in = "SELECT COUNT(*) FROM d WHERE v IN (SELECT v FROM big)";
   BORNSQL_ASSERT_OK(db.Execute("SET born.memory_limit = 20000").status());
+  // One row decides an EXISTS: its subquery stops there, within the limit.
+  // A blocking operator under it (the ORDER BY above) still buffers all.
+  EXPECT_EQ(MustQuery(db,
+                      "SELECT COUNT(*) FROM d WHERE EXISTS "
+                      "(SELECT s FROM big)")
+                .rows[0][0]
+                .AsInt(),
+            10);
   for (const std::string& sql : {exists, in}) {
     auto result = db.Execute(sql);
     ASSERT_FALSE(result.ok()) << sql;
@@ -384,6 +392,38 @@ TEST(MemoryLimitTest, FoldedSubqueriesRunUnderTheStatementBudget) {
     QueryResult result = MustQuery(db, sql);
     ASSERT_EQ(result.rows.size(), 1u) << sql;
     EXPECT_EQ(result.rows[0][0].AsInt(), 10) << sql;
+  }
+}
+
+// A CTE read by a folded subquery and by its outer statement: each tree
+// computes it once, and every charge is released into the tracker that
+// took it, in both CTE modes and at both ends of the vector size.
+TEST(MemoryLimitTest, CteReadBySubqueryAndOuterStatement) {
+  const std::pair<std::string, std::vector<std::string>> cases[] = {
+      {"WITH c AS (SELECT a, COUNT(*) AS n FROM t GROUP BY a) "
+       "SELECT a, n FROM c WHERE a IN (SELECT a FROM c WHERE n > 1)",
+       {"2|2"}},
+      {"WITH c AS (SELECT a, b FROM t ORDER BY b) "
+       "SELECT COUNT(*) FROM c WHERE a = (SELECT MAX(a) FROM c)",
+       {"1"}},
+  };
+  for (const bool materialize : {true, false}) {
+    for (const size_t vector_size : {size_t{1}, size_t{2048}}) {
+      SCOPED_TRACE(StrFormat("materialize_ctes=%d vector_size=%zu",
+                             materialize, vector_size));
+      EngineConfig config;
+      config.materialize_ctes = materialize;
+      config.vector_size = vector_size;
+      Database db(config);
+      BORNSQL_ASSERT_OK(db.ExecuteScript(
+          "CREATE TABLE t (a INTEGER, b INTEGER);"
+          "INSERT INTO t VALUES (1,10),(2,20),(2,30),(3,40);"));
+      const uint64_t before = obs::MemoryTracker::Process().current();
+      for (const auto& [sql, expected] : cases) {
+        EXPECT_EQ(RowStrings(MustQuery(db, sql)), expected) << sql;
+      }
+      EXPECT_EQ(obs::MemoryTracker::Process().current(), before);
+    }
   }
 }
 

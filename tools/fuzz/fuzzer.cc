@@ -276,6 +276,29 @@ SubSelect GenerateSubSelect(Rng& rng) {
   return out;
 }
 
+// An uncorrelated subquery conjunct, `<int> IN (SELECT <int> FROM src)` or
+// `EXISTS (SELECT ...)`, over a base table or over the query's CTE (when
+// it has one). The planner folds it by running its own tree, which then
+// reads the CTE the outer statement reads too.
+std::string SubqueryPredicate(GenContext& ctx, const std::string& cte_name,
+                              const std::vector<ColumnInfo>& cte_columns) {
+  Rng& rng = *ctx.rng;
+  std::string source = cte_name;
+  std::vector<ColumnInfo> columns = cte_columns;
+  if (cte_name.empty() || rng.Bernoulli(0.5)) {
+    const TableInfo& table = Tables()[rng.Uniform(Tables().size())];
+    source = table.name;
+    columns = table.columns;
+  }
+  GenContext sub{{{"q", columns}}, &rng};
+  std::string select =
+      "SELECT " + PickColumn(sub, true, false, false) + " FROM " + source +
+      " q";
+  if (rng.Bernoulli(0.5)) select += " WHERE " + Predicate(sub);
+  if (rng.Bernoulli(0.5)) return "EXISTS (" + select + ")";
+  return PickColumn(ctx, true, false, false) + " IN (" + select + ")";
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -387,6 +410,9 @@ QuerySpec GenerateQuery(Rng& rng) {
   // WHERE conjuncts.
   const size_t npred = rng.Uniform(4);
   for (size_t i = 0; i < npred; ++i) q.where.push_back(Predicate(ctx));
+  if (rng.Bernoulli(0.15)) {
+    q.where.push_back(SubqueryPredicate(ctx, cte_name, cte_columns));
+  }
 
   // Aggregate or plain projection.
   if (rng.Bernoulli(0.35)) {
@@ -800,6 +826,10 @@ bool MentionsCte(const QuerySpec& q, const std::string& name) {
   const std::string needle = name + " ";
   for (const FromItem& f : q.from) {
     if (f.sql.rfind(needle, 0) == 0) return true;
+  }
+  // A subquery conjunct may read the CTE too.
+  for (const std::string& s : q.where) {
+    if (s.find(" FROM " + needle) != std::string::npos) return true;
   }
   return false;
 }

@@ -28,6 +28,9 @@
 // INSERT INTO fz <q> and SELECT * FROM fz, then drops fz. The tables read
 // back must agree as the SELECT lanes do.
 //
+// WHERE occasionally gains an uncorrelated IN or EXISTS subquery over a
+// base table or the query's CTE, which the planner folds by running it.
+//
 // The grammar deliberately stays inside deterministic SQL: SUM/AVG only
 // over INTEGER columns (int64 accumulation is exact and order-independent;
 // double accumulation is not), no window functions, no LIMIT (row choice
