@@ -12,6 +12,29 @@
 #include "common/strings.h"
 #include "tests/test_util.h"
 
+namespace bornsql::engine {
+
+// Names each BornSqlConfigTest instance by the settings it varies. Without
+// a printer gtest prints the config's raw bytes, padding included, and the
+// padding is not initialized, so the names changed from run to run.
+void PrintTo(const EngineConfig& config, std::ostream* os) {
+  switch (config.join_strategy) {
+    case JoinStrategy::kHash:
+      *os << "hash";
+      break;
+    case JoinStrategy::kSortMerge:
+      *os << "sortmerge";
+      break;
+    case JoinStrategy::kNestedLoop:
+      *os << "nestedloop";
+      break;
+  }
+  *os << (config.materialize_ctes ? "_materialized" : "_inlined");
+  if (config.use_index_joins) *os << "_indexjoins";
+}
+
+}  // namespace bornsql::engine
+
 namespace bornsql::born {
 namespace {
 
